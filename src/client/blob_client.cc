@@ -1156,16 +1156,17 @@ Future<Unit> BlobClient::FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
                                               std::vector<uint64_t> bases,
                                               uint64_t range_offset,
                                               char* dst) {
-  // Per-piece chain: resolve the page's current replica set through the
-  // location index (seeding the entry from pre-v3 metadata if absent), then
-  // try replicas in order; any error (dead endpoint, missing object, short
-  // read) advances to the next replica, and a success after a miss triggers
-  // detached read repair. Exhausting the whole set once drops the cached
-  // entry and re-resolves — the rebuilder may have moved the page while
-  // this read was failing over.
+  // Per-piece chain: take the page's current replica set from the batched
+  // location resolve (seeding the entry from pre-v3 metadata if absent),
+  // then try replicas in order; any error (dead endpoint, missing object,
+  // short read) advances to the next replica, and a success after a miss
+  // triggers detached read repair. Exhausting the whole set once drops the
+  // cached entry and re-resolves — the rebuilder may have moved the page
+  // while this read was failing over.
   struct PieceOp {
     BlobClient* c = nullptr;
     FetchPiece piece;  // piece.providers = legacy seed (empty for v3 pages)
+    Future<locator::LocationEntry> location;  // this piece's batched resolve
     std::vector<ProviderId> replicas;  // resolved set being tried
     char* out = nullptr;  // absolute destination for this piece's bytes
     size_t attempt = 0;
@@ -1174,26 +1175,25 @@ Future<Unit> BlobClient::FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
     Promise<Unit> promise;
 
     void Start(const std::shared_ptr<PieceOp>& self) {
-      c->locator_.ResolveAsync(piece.pid).OnReady(
-          nullptr, [self](Result<locator::LocationEntry> e) {
-            if (e.ok()) {
-              self->replicas = std::move(e->providers);
-              self->Step(self);
-              return;
-            }
-            if (e.status().IsNotFound() && !self->piece.providers.empty()) {
-              self->SeedFromLegacy(self);
-              return;
-            }
-            if (!self->piece.providers.empty()) {
-              // Location store unreachable: the legacy replica set is stale
-              // at worst — still the best shot at serving the read.
-              self->replicas = self->piece.providers;
-              self->Step(self);
-              return;
-            }
-            self->promise.Set(e.status());
-          });
+      location.OnReady(nullptr, [self](Result<locator::LocationEntry> e) {
+        if (e.ok()) {
+          self->replicas = std::move(e->providers);
+          self->Step(self);
+          return;
+        }
+        if (e.status().IsNotFound() && !self->piece.providers.empty()) {
+          self->SeedFromLegacy(self);
+          return;
+        }
+        if (!self->piece.providers.empty()) {
+          // Location store unreachable: the legacy replica set is stale
+          // at worst — still the best shot at serving the read.
+          self->replicas = self->piece.providers;
+          self->Step(self);
+          return;
+        }
+        self->promise.Set(e.status());
+      });
     }
 
     // Pre-v3 page: install a location entry from the replica set embedded
@@ -1287,12 +1287,21 @@ Future<Unit> BlobClient::FetchPiecesIntoAsync(std::vector<FetchPiece> pieces,
     }
   };
 
+  // All locations resolve in one batch up front (one DHT call per DHT node
+  // holding a miss); each node's answer releases its pieces' provider reads
+  // without waiting for the other nodes.
+  std::vector<PageId> pids;
+  pids.reserve(pieces.size());
+  for (const FetchPiece& p : pieces) pids.push_back(p.pid);
+  std::vector<Future<locator::LocationEntry>> locations =
+      locator_.ResolveManyAsync(pids);
   std::vector<std::function<Future<Unit>()>> tasks;
   tasks.reserve(pieces.size());
   for (size_t i = 0; i < pieces.size(); i++) {
     auto op = std::make_shared<PieceOp>();
     op->c = this;
     op->piece = std::move(pieces[i]);
+    op->location = std::move(locations[i]);
     // Pieces cover disjoint output ranges, so the copies are safe to run
     // concurrently on completion threads.
     op->out = dst + (bases[i] + op->piece.page_local_off - range_offset);

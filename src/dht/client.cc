@@ -1,6 +1,7 @@
 #include "dht/client.h"
 
 #include "common/logging.h"
+#include "common/string_util.h"
 #include "rpc/call.h"
 
 namespace blobseer::dht {
@@ -29,12 +30,12 @@ Status CallNode(rpc::ChannelPool* pool, const std::string& address,
 
 template <typename Req, typename Rsp>
 Future<Rsp> CallNodeAsync(rpc::ChannelPool* pool, const std::string& address,
-                          rpc::Method method, const Req& req) {
+                          rpc::Method method, Req req) {
   auto ch = pool->Get(address);
   if (!ch.ok()) return MakeReadyFuture<Rsp>(ch.status());
   // The request is shared with the retry continuation, so the bytes are
   // serialized twice at most but copied into the closure once.
-  auto shared = std::make_shared<Req>(req);
+  auto shared = std::make_shared<Req>(std::move(req));
   return rpc::CallMethodAsync<Req, Rsp>(ch->get(), method, *shared)
       .Then([pool, address, method, shared](Result<Rsp> r) -> Future<Rsp> {
         if (r.ok() || !r.status().IsUnavailable() || !pool->binding())
@@ -44,6 +45,22 @@ Future<Rsp> CallNodeAsync(rpc::ChannelPool* pool, const std::string& address,
         if (!retry.ok()) return MakeReadyFuture<Rsp>(std::move(r));
         return rpc::CallMethodAsync<Req, Rsp>(retry->get(), method, *shared);
       });
+}
+
+// A well-formed MultiGet reply has one found flag per requested key and one
+// value per set flag; the fan-in below indexes both vectors by that shape.
+Status CheckMultiGetShape(const MultiGetResponse& rsp, size_t num_keys) {
+  if (rsp.found.size() != num_keys)
+    return Status::Corruption(
+        StrFormat("multiget reply has %zu flags for %zu keys",
+                  rsp.found.size(), num_keys));
+  size_t hits = 0;
+  for (uint8_t f : rsp.found) hits += f != 0;
+  if (hits != rsp.values.size())
+    return Status::Corruption(
+        StrFormat("multiget reply has %zu values for %zu found keys",
+                  rsp.values.size(), hits));
+  return Status::OK();
 }
 
 }  // namespace
@@ -201,6 +218,75 @@ Future<std::string> DhtClient::GetAsync(Slice key) {
     });
   }
   return f;
+}
+
+struct DhtClient::MultiGetOp {
+  std::vector<std::string> keys;
+  std::vector<std::vector<size_t>> replicas;  // per key, placement order
+  // Distinct node batches complete on different threads; each touches only
+  // its own keys' promises.
+  std::vector<Promise<std::string>> results;
+};
+
+std::vector<Future<std::string>> DhtClient::MultiGetAsync(
+    std::vector<std::string> keys) {
+  auto op = std::make_shared<MultiGetOp>();
+  op->keys = std::move(keys);
+  const size_t n = op->keys.size();
+  op->replicas.reserve(n);
+  op->results.resize(n);
+  std::vector<Future<std::string>> out;
+  out.reserve(n);
+  std::vector<size_t> pending;
+  pending.reserve(n);
+  for (size_t i = 0; i < n; i++) {
+    op->replicas.push_back(
+        placement_->ReplicaNodes(Slice(op->keys[i]), options_.replication));
+    out.push_back(op->results[i].GetFuture());
+    if (op->replicas[i].empty())
+      op->results[i].Set(Status::NotFound("dht key"));
+    else
+      pending.push_back(i);
+  }
+  if (!pending.empty()) MultiGetRound(std::move(op), std::move(pending), 0);
+  return out;
+}
+
+void DhtClient::MultiGetRound(std::shared_ptr<MultiGetOp> op,
+                              std::vector<size_t> pending, size_t attempt) {
+  std::vector<std::vector<size_t>> by_node(nodes_.size());
+  for (size_t i : pending) by_node[op->replicas[i][attempt]].push_back(i);
+  for (size_t node = 0; node < by_node.size(); node++) {
+    if (by_node[node].empty()) continue;
+    MultiGetRequest req;
+    req.keys.reserve(by_node[node].size());
+    for (size_t i : by_node[node]) req.keys.push_back(op->keys[i]);
+    CallNodeAsync<MultiGetRequest, MultiGetResponse>(
+        &pool_, nodes_[node], rpc::Method::kDhtMultiGet, std::move(req))
+        .OnReady(nullptr, [this, op, batch = std::move(by_node[node]),
+                           attempt](Result<MultiGetResponse> rsp) {
+          Status call =
+              rsp.ok() ? CheckMultiGetShape(*rsp, batch.size()) : rsp.status();
+          std::vector<size_t> retry;
+          size_t next_value = 0;
+          for (size_t j = 0; j < batch.size(); j++) {
+            const size_t i = batch[j];
+            Status miss = call;
+            if (call.ok()) {
+              if (rsp->found[j]) {
+                op->results[i].Set(std::move(rsp->values[next_value++]));
+                continue;
+              }
+              miss = Status::NotFound("dht key");
+            }
+            if (attempt + 1 < op->replicas[i].size())
+              retry.push_back(i);
+            else
+              op->results[i].Set(std::move(miss));
+          }
+          if (!retry.empty()) MultiGetRound(op, std::move(retry), attempt + 1);
+        });
+  }
 }
 
 Status DhtClient::Delete(Slice key) {

@@ -55,6 +55,16 @@ class DhtClient {
   Future<CasResponse> CasAsync(Slice key, Slice expected, Slice value,
                                bool expect_absent);
 
+  /// Batched GetAsync: one kDhtMultiGet per DHT node rather than one call
+  /// per key. Keys are grouped by primary placement node; a key its node
+  /// lacks, or whose node call fails, falls back to its next replica in
+  /// placement order (again batched per node), exactly as GetAsync does.
+  /// Returns one future per key, in input order. Each resolves as soon as
+  /// the batch holding its key answers, so a caller can act on one node's
+  /// keys while the other nodes are still replying.
+  std::vector<Future<std::string>> MultiGetAsync(
+      std::vector<std::string> keys);
+
   /// Aggregate stats across all nodes.
   Status TotalStats(uint64_t* keys, uint64_t* bytes);
 
@@ -62,6 +72,12 @@ class DhtClient {
   const DhtClientOptions& options() const { return options_; }
 
  private:
+  struct MultiGetOp;
+  /// Sends one kDhtMultiGet per node for the keys `pending` (indices into
+  /// the op), each to its `attempt`-th placement replica.
+  void MultiGetRound(std::shared_ptr<MultiGetOp> op,
+                     std::vector<size_t> pending, size_t attempt);
+
   rpc::Transport* transport_;
   std::vector<std::string> nodes_;
   DhtClientOptions options_;

@@ -110,7 +110,13 @@ Result<LocationEntry> LocationIndex::Resolve(const PageId& pid) {
   if (CacheLookup(pid, &entry)) return entry;
   std::string bytes;
   BS_RETURN_NOT_OK(dht_->Get(Slice(LocationKey(pid)), &bytes));
-  Result<LocationEntry> decoded = DecodeEntry(bytes);
+  return DecodeFetched(pid, std::move(bytes));
+}
+
+Result<LocationEntry> LocationIndex::DecodeFetched(
+    const PageId& pid, Result<std::string> bytes) {
+  if (!bytes.ok()) return bytes.status();
+  Result<LocationEntry> decoded = DecodeEntry(*bytes);
   if (decoded.ok()) CacheInsert(pid, *decoded);
   return decoded;
 }
@@ -120,12 +126,35 @@ Future<LocationEntry> LocationIndex::ResolveAsync(const PageId& pid) {
   if (CacheLookup(pid, &entry))
     return MakeReadyFuture<LocationEntry>(std::move(entry));
   return dht_->GetAsync(Slice(LocationKey(pid)))
-      .Then([this, pid](Result<std::string> bytes) -> Result<LocationEntry> {
-        if (!bytes.ok()) return bytes.status();
-        Result<LocationEntry> decoded = DecodeEntry(*bytes);
-        if (decoded.ok()) CacheInsert(pid, *decoded);
-        return decoded;
+      .Then([this, pid](Result<std::string> bytes) {
+        return DecodeFetched(pid, std::move(bytes));
       });
+}
+
+std::vector<Future<LocationEntry>> LocationIndex::ResolveManyAsync(
+    const std::vector<PageId>& pids) {
+  std::vector<Future<LocationEntry>> out(pids.size());
+  std::vector<size_t> misses;
+  std::vector<std::string> miss_keys;
+  for (size_t i = 0; i < pids.size(); i++) {
+    LocationEntry entry;
+    if (CacheLookup(pids[i], &entry)) {
+      out[i] = MakeReadyFuture<LocationEntry>(std::move(entry));
+    } else {
+      misses.push_back(i);
+      miss_keys.push_back(LocationKey(pids[i]));
+    }
+  }
+  if (misses.empty()) return out;
+  std::vector<Future<std::string>> fetched =
+      dht_->MultiGetAsync(std::move(miss_keys));
+  for (size_t j = 0; j < misses.size(); j++) {
+    out[misses[j]] = fetched[j].Then(
+        [this, pid = pids[misses[j]]](Result<std::string> bytes) {
+          return DecodeFetched(pid, std::move(bytes));
+        });
+  }
+  return out;
 }
 
 Status LocationIndex::Publish(const PageId& pid,

@@ -71,6 +71,11 @@ class LocationIndex {
   /// entry exists (pre-v3 page not yet seeded, or deleted page).
   Result<LocationEntry> Resolve(const PageId& pid);
   Future<LocationEntry> ResolveAsync(const PageId& pid);
+  /// Batched ResolveAsync: cache hits resolve at once and the misses go
+  /// out as one DHT MultiGet per DHT node. One future per pid, in order;
+  /// each resolves as soon as its node's batch answers.
+  std::vector<Future<LocationEntry>> ResolveManyAsync(
+      const std::vector<PageId>& pids);
 
   /// Installs the entry for a freshly written page at epoch 1 with refs=1.
   /// A plain put: PageIds are minted client-locally and never reused, so no
@@ -136,6 +141,9 @@ class LocationIndex {
  private:
   bool CacheLookup(const PageId& pid, LocationEntry* entry);
   void CacheInsert(const PageId& pid, const LocationEntry& entry);
+  /// Decodes fetched entry bytes and caches a valid entry.
+  Result<LocationEntry> DecodeFetched(const PageId& pid,
+                                      Result<std::string> bytes);
 
   dht::DhtClient* dht_;
   size_t capacity_;

@@ -54,12 +54,8 @@ Result<MetaNode> MetaClient::GetNode(const NodeKey& key) {
   if (CacheLookup(k, &node)) return node;
   std::string raw;
   Status s = dht_->Get(Slice(k), &raw);
-  if (!s.ok()) return s.WithContext("metadata node " + key.ToString());
-  BinaryReader r{Slice(raw)};
-  BS_RETURN_NOT_OK(node.DecodeFrom(&r));
-  BS_RETURN_NOT_OK(r.ExpectEnd());
-  CacheInsert(k, node);
-  return node;
+  if (!s.ok()) return DecodeFetched(key, k, std::move(s));
+  return DecodeFetched(key, k, std::move(raw));
 }
 
 Status MetaClient::WriteNodes(
@@ -67,72 +63,6 @@ Status MetaClient::WriteNodes(
   return executor_->ParallelFor(
       nodes.size(), options_.fanout,
       [&](size_t i) { return PutNode(nodes[i].first, nodes[i].second); });
-}
-
-Status MetaClient::ReadMeta(const BranchAncestry& ancestry, Version version,
-                            uint64_t blob_size, uint64_t psize,
-                            const Extent& range,
-                            std::vector<LeafRef>* leaves) {
-  leaves->clear();
-  if (range.size == 0) return Status::OK();
-  if (version == 0 || blob_size == 0)
-    return Status::OutOfRange("read from empty snapshot");
-  if (range.end() > blob_size)
-    return Status::OutOfRange("read beyond snapshot size");
-
-  struct Frontier {
-    Extent block;
-    Version version;
-  };
-  std::vector<Frontier> frontier{
-      {Extent{0, RootSizeBytes(blob_size, psize)}, version}};
-  std::vector<MetaNode> fetched;
-
-  while (!frontier.empty()) {
-    fetched.assign(frontier.size(), MetaNode{});
-    Status s = executor_->ParallelFor(
-        frontier.size(), options_.fanout, [&](size_t i) {
-          NodeKey key{ancestry.Resolve(frontier[i].version),
-                      frontier[i].version, frontier[i].block};
-          auto node = GetNode(key);
-          if (!node.ok()) return node.status();
-          fetched[i] = std::move(node).ValueUnsafe();
-          return Status::OK();
-        });
-    BS_RETURN_NOT_OK(s);
-
-    std::vector<Frontier> next;
-    for (size_t i = 0; i < frontier.size(); i++) {
-      const Frontier& f = frontier[i];
-      const MetaNode& node = fetched[i];
-      if (IsLeafBlock(f.block, psize)) {
-        if (!node.is_leaf())
-          return Status::Corruption("inner node at leaf block " +
-                                    f.block.ToString());
-        leaves->push_back(LeafRef{f.block, f.version, node});
-        continue;
-      }
-      if (node.is_leaf())
-        return Status::Corruption("leaf node at inner block " +
-                                  f.block.ToString());
-      Extent left = LeftChildBlock(f.block);
-      Extent right = RightChildBlock(f.block);
-      if (left.Intersects(range)) {
-        if (node.left_version == kNoVersion)
-          return Status::Corruption("hole in read range at " +
-                                    left.ToString());
-        next.push_back(Frontier{left, node.left_version});
-      }
-      if (right.Intersects(range)) {
-        if (node.right_version == kNoVersion)
-          return Status::Corruption("hole in read range at " +
-                                    right.ToString());
-        next.push_back(Frontier{right, node.right_version});
-      }
-    }
-    frontier = std::move(next);
-  }
-  return Status::OK();
 }
 
 Future<Unit> MetaClient::PutNodeAsync(const NodeKey& key,
@@ -148,6 +78,19 @@ Future<Unit> MetaClient::PutNodeAsync(const NodeKey& key,
       });
 }
 
+Result<MetaNode> MetaClient::DecodeFetched(const NodeKey& key,
+                                           const std::string& dht_key,
+                                           Result<std::string> raw) {
+  if (!raw.ok())
+    return raw.status().WithContext("metadata node " + key.ToString());
+  MetaNode node;
+  BinaryReader r{Slice(*raw)};
+  BS_RETURN_NOT_OK(node.DecodeFrom(&r));
+  BS_RETURN_NOT_OK(r.ExpectEnd());
+  CacheInsert(dht_key, node);
+  return node;
+}
+
 Future<MetaNode> MetaClient::GetNodeAsync(const NodeKey& key) {
   std::string k = key.ToDhtKey();
   MetaNode cached;
@@ -155,15 +98,35 @@ Future<MetaNode> MetaClient::GetNodeAsync(const NodeKey& key) {
     return MakeReadyFuture<MetaNode>(std::move(cached));
   return dht_->GetAsync(Slice(k)).Then(
       [this, k, key](Result<std::string> raw) -> Result<MetaNode> {
-        if (!raw.ok())
-          return raw.status().WithContext("metadata node " + key.ToString());
-        MetaNode node;
-        BinaryReader r{Slice(*raw)};
-        BS_RETURN_NOT_OK(node.DecodeFrom(&r));
-        BS_RETURN_NOT_OK(r.ExpectEnd());
-        CacheInsert(k, node);
-        return node;
+        return DecodeFetched(key, k, std::move(raw));
       });
+}
+
+std::vector<Future<MetaNode>> MetaClient::GetNodesAsync(
+    const std::vector<NodeKey>& keys) {
+  std::vector<Future<MetaNode>> out(keys.size());
+  std::vector<size_t> misses;
+  std::vector<std::string> miss_keys;
+  for (size_t i = 0; i < keys.size(); i++) {
+    std::string k = keys[i].ToDhtKey();
+    MetaNode cached;
+    if (CacheLookup(k, &cached)) {
+      out[i] = MakeReadyFuture<MetaNode>(std::move(cached));
+    } else {
+      misses.push_back(i);
+      miss_keys.push_back(std::move(k));
+    }
+  }
+  if (misses.empty()) return out;
+  std::vector<Future<std::string>> fetched = dht_->MultiGetAsync(miss_keys);
+  for (size_t j = 0; j < misses.size(); j++) {
+    out[misses[j]] = fetched[j].Then(
+        [this, key = keys[misses[j]],
+         k = std::move(miss_keys[j])](Result<std::string> raw) {
+          return DecodeFetched(key, k, std::move(raw));
+        });
+  }
+  return out;
 }
 
 Future<MetaNode> MetaClient::GetNodeMemoizedAsync(
@@ -211,8 +174,9 @@ Future<std::vector<LeafRef>> MetaClient::ReadMetaAsync(
     return MakeReadyFuture<Out>(
         Status::OutOfRange("read beyond snapshot size"));
 
-  // Level-wise descent: fetch the whole frontier in one parallel wave, then
-  // expand it, until only leaves remain. State is shared across waves.
+  // Level-wise descent: fetch the whole frontier in one wave (cache hits
+  // plus one batched DHT fetch of the misses), then expand it, until only
+  // leaves remain. State is shared across waves.
   struct Frontier {
     Extent block;
     Version version;
@@ -231,13 +195,12 @@ Future<std::vector<LeafRef>> MetaClient::ReadMetaAsync(
         promise.Set(std::move(leaves));
         return;
       }
-      std::vector<Future<MetaNode>> fetches;
-      fetches.reserve(frontier.size());
-      for (const Frontier& f : frontier) {
-        fetches.push_back(mc->GetNodeAsync(
-            NodeKey{ancestry.Resolve(f.version), f.version, f.block}));
-      }
-      WhenAll(std::move(fetches))
+      std::vector<NodeKey> keys;
+      keys.reserve(frontier.size());
+      for (const Frontier& f : frontier)
+        keys.push_back(
+            NodeKey{ancestry.Resolve(f.version), f.version, f.block});
+      WhenAll(mc->GetNodesAsync(keys))
           .OnReady(nullptr, [self](Result<std::vector<Result<MetaNode>>> all) {
             Status first = all.ok() ? FirstError(*all) : all.status();
             if (!first.ok()) {
@@ -372,59 +335,6 @@ Future<Version> MetaClient::ResolveBlockVersionAsync(
   auto f = op->promise.GetFuture();
   op->Step(op);
   return f;
-}
-
-Result<MetaNode> MetaClient::GetNodeMemoized(const NodeKey& key,
-                                             NodeMemo* memo) {
-  if (!memo) return GetNode(key);
-  std::string k = key.ToDhtKey();
-  auto it = memo->find(k);
-  if (it != memo->end()) return it->second;
-  auto node = GetNode(key);
-  if (node.ok()) memo->emplace(std::move(k), *node);
-  return node;
-}
-
-Result<Version> MetaClient::ResolveBlockVersion(const BranchAncestry& ancestry,
-                                                Version published,
-                                                uint64_t published_size,
-                                                uint64_t psize,
-                                                const Extent& block,
-                                                NodeMemo* memo) {
-  if (published == 0 || published_size == 0) return kNoVersion;
-  Extent root{0, RootSizeBytes(published_size, psize)};
-  if (block == root) return published;
-  if (block.offset >= root.size) return kNoVersion;  // beyond published span
-  if (block.size >= root.size)
-    return Status::Internal(
-        "border block contains published root; must be supplied by the "
-        "version manager: " +
-        block.ToString());
-
-  Extent cur = root;
-  Version cur_version = published;
-  while (cur != block) {
-    NodeKey key{ancestry.Resolve(cur_version), cur_version, cur};
-    auto node = GetNodeMemoized(key, memo);
-    if (!node.ok()) return node.status();
-    if (node->is_leaf())
-      return Status::Corruption("unexpected leaf during descent at " +
-                                cur.ToString());
-    Extent left = LeftChildBlock(cur);
-    Version next_version;
-    Extent next;
-    if (left.Contains(block)) {
-      next = left;
-      next_version = node->left_version;
-    } else {
-      next = RightChildBlock(cur);
-      next_version = node->right_version;
-    }
-    if (next_version == kNoVersion) return kNoVersion;  // hole
-    cur = next;
-    cur_version = next_version;
-  }
-  return cur_version;
 }
 
 void MetaClient::InvalidateCache() {

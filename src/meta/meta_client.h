@@ -28,7 +28,7 @@ struct MetaClientOptions {
   /// it to measure raw metadata traffic (Figure 2(a) runs cache-off).
   bool cache_enabled = true;
   size_t cache_capacity = 1 << 16;  // nodes
-  /// Parallel DHT requests per tree level / node batch.
+  /// Parallel DHT puts per WriteNodes batch.
   size_t fanout = 16;
 };
 
@@ -61,41 +61,15 @@ class MetaClient {
   /// Writes a batch of nodes in parallel (paper Algorithm 4, final loop).
   Status WriteNodes(const std::vector<std::pair<NodeKey, MetaNode>>& nodes);
 
-  /// Paper Algorithm 3 (READ_META): collects every leaf of snapshot
-  /// `version` whose page block intersects `range`. Levels are fetched in
-  /// parallel waves of `fanout`.
-  Status ReadMeta(const BranchAncestry& ancestry, Version version,
-                  uint64_t blob_size, uint64_t psize, const Extent& range,
-                  std::vector<LeafRef>* leaves);
-
-  /// Per-operation node memo: a writer resolving several border blocks of
-  /// one update descends overlapping root-to-block paths, so nodes fetched
-  /// once are reused across the whole BUILD_META (the paper computes the
-  /// border set in a single descent; this keeps that cost at O(depth)
-  /// fetches even with the global cache disabled).
-  using NodeMemo = std::unordered_map<std::string, MetaNode>;
-
-  /// Resolves the version label of `block` within published snapshot
-  /// (`published`, `published_size`) by descending from its root.
-  /// Returns kNoVersion when the block lies beyond the published span or
-  /// under a never-written hole. Fails with Internal when the block
-  /// strictly contains the published root (such blocks must come from the
-  /// version manager's partial border set).
-  Result<Version> ResolveBlockVersion(const BranchAncestry& ancestry,
-                                      Version published,
-                                      uint64_t published_size, uint64_t psize,
-                                      const Extent& block,
-                                      NodeMemo* memo = nullptr);
-
-  /// GetNode through an optional per-operation memo.
-  Result<MetaNode> GetNodeMemoized(const NodeKey& key, NodeMemo* memo);
-
-  /// Thread-safe per-operation memo for the async paths: one update's
-  /// border resolutions run as concurrent continuation chains that share
-  /// fetched nodes.
+  /// Thread-safe per-operation node memo: a writer resolving several
+  /// border blocks of one update descends overlapping root-to-block paths
+  /// as concurrent continuation chains, so nodes fetched once are reused
+  /// across the whole BUILD_META (the paper computes the border set in a
+  /// single descent; this keeps that cost at O(depth) fetches even with the
+  /// global cache disabled).
   struct SharedNodeMemo {
     std::mutex mu;
-    NodeMemo map;
+    std::unordered_map<std::string, MetaNode> map;
   };
 
   /// Async variants of the node and tree operations. Continuations resolve
@@ -109,11 +83,21 @@ class MetaClient {
   /// parallelism (the sync path instead fans out `fanout`-wide).
   Future<Unit> WriteNodesAsync(
       std::vector<std::pair<NodeKey, MetaNode>> nodes);
+  /// Paper Algorithm 3 (READ_META): collects every leaf of snapshot
+  /// `version` whose page block intersects `range`. The descent is level
+  /// by level; each level is served from the cache where possible and the
+  /// misses are fetched in one DHT MultiGet per DHT node.
   Future<std::vector<LeafRef>> ReadMetaAsync(const BranchAncestry& ancestry,
                                              Version version,
                                              uint64_t blob_size,
                                              uint64_t psize,
                                              const Extent& range);
+  /// Resolves the version label of `block` within published snapshot
+  /// (`published`, `published_size`) by descending from its root, through
+  /// `memo` when given. Resolves to kNoVersion when the block lies beyond
+  /// the published span or under a never-written hole; fails with Internal
+  /// when the block strictly contains the published root (such blocks must
+  /// come from the version manager's partial border set).
   Future<Version> ResolveBlockVersionAsync(
       const BranchAncestry& ancestry, Version published,
       uint64_t published_size, uint64_t psize, const Extent& block,
@@ -126,6 +110,12 @@ class MetaClient {
  private:
   void CacheInsert(const std::string& key, const MetaNode& node);
   bool CacheLookup(const std::string& key, MetaNode* node);
+  /// Decodes a fetched node and caches it.
+  Result<MetaNode> DecodeFetched(const NodeKey& key, const std::string& dht_key,
+                                 Result<std::string> raw);
+  /// One future per key, in order: cache hits resolve at once, the misses
+  /// go out as one batched DHT fetch.
+  std::vector<Future<MetaNode>> GetNodesAsync(const std::vector<NodeKey>& keys);
 
   dht::DhtClient* dht_;
   Executor* executor_;

@@ -204,6 +204,33 @@ TEST_F(LocationIndexTest, PublishResolvesFromCacheThenFromDht) {
   EXPECT_EQ(st.invalidations, 1u);
 }
 
+TEST_F(LocationIndexTest, ResolveManyServesHitsAndBatchesMisses) {
+  LocationIndex writer(dht_.get(), 8);
+  for (uint64_t i = 1; i <= 6; i++)
+    ASSERT_TRUE(writer.Publish(PageId{3, i}, {ProviderId(i)}).ok());
+  LocationIndex index(dht_.get(), 8);
+  ASSERT_TRUE(index.Resolve(PageId{3, 2}).ok());  // warm one entry
+  const std::vector<PageId> pids = {PageId{3, 5}, PageId{3, 2}, PageId{9, 9},
+                                    PageId{3, 1}, PageId{3, 6}};
+  std::vector<Future<LocationEntry>> got = index.ResolveManyAsync(pids);
+  ASSERT_EQ(got.size(), pids.size());
+  for (size_t i = 0; i < pids.size(); i++) {
+    auto e = got[i].Wait();
+    if (pids[i] == PageId{9, 9}) {
+      EXPECT_TRUE(e.status().IsNotFound());
+      continue;
+    }
+    ASSERT_TRUE(e.ok()) << pids[i].ToString();
+    EXPECT_EQ(e->providers, (std::vector<ProviderId>{ProviderId(pids[i].lo)}));
+  }
+  LocationIndexStats st = index.GetStats();
+  EXPECT_EQ(st.hits, 1u);
+  EXPECT_EQ(st.misses, 5u);  // the warm-up miss and four batched ones
+  // The fetched entries were cached.
+  ASSERT_TRUE(index.Resolve(PageId{3, 6}).ok());
+  EXPECT_EQ(index.GetStats().hits, 2u);
+}
+
 TEST_F(LocationIndexTest, UnknownPageIsNotFound) {
   LocationIndex index(dht_.get(), 8);
   EXPECT_TRUE(index.Resolve(PageId{9, 9}).status().IsNotFound());

@@ -31,6 +31,24 @@ class MetaClientTest : public ::testing::Test {
     return MetaClient(dht_.get(), &executor_, opts);
   }
 
+  Result<std::vector<LeafRef>> ReadMeta(MetaClient& mc,
+                                        const BranchAncestry& anc,
+                                        Version version, uint64_t blob_size,
+                                        const Extent& range) {
+    return mc.ReadMetaAsync(anc, version, blob_size, /*psize=*/1, range)
+        .Wait(&executor_);
+  }
+
+  Result<Version> ResolveBlockVersion(
+      MetaClient& mc, const BranchAncestry& anc, Version published,
+      uint64_t published_size, const Extent& block,
+      std::shared_ptr<MetaClient::SharedNodeMemo> memo = nullptr) {
+    return mc
+        .ResolveBlockVersionAsync(anc, published, published_size,
+                                  /*psize=*/1, block, std::move(memo))
+        .Wait(&executor_);
+  }
+
   // Writes the 4-page tree of paper Figure 1(a): version 1, psize 1.
   void WriteFigure1aTree(MetaClient* mc) {
     ASSERT_TRUE(mc->PutNode(NodeKey{1, 1, {0, 4}}, MetaNode::Inner(1, 1)).ok());
@@ -109,16 +127,17 @@ TEST_F(MetaClientTest, ReadMetaCollectsExactlyTheIntersectingLeaves) {
   MetaClient mc = NewClient();
   WriteFigure1aTree(&mc);
   BranchAncestry anc({{1, kMaxVersion}});
-  std::vector<LeafRef> leaves;
-  ASSERT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{1, 2}, &leaves).ok());
-  ASSERT_EQ(leaves.size(), 2u);
-  EXPECT_EQ(leaves[0].block.offset + leaves[1].block.offset, 1u + 2u);
+  auto leaves = ReadMeta(mc, anc, 1, 4, Extent{1, 2});
+  ASSERT_TRUE(leaves.ok());
+  ASSERT_EQ(leaves->size(), 2u);
+  EXPECT_EQ((*leaves)[0].block.offset + (*leaves)[1].block.offset, 1u + 2u);
   // Full range.
-  ASSERT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{0, 4}, &leaves).ok());
-  EXPECT_EQ(leaves.size(), 4u);
+  leaves = ReadMeta(mc, anc, 1, 4, Extent{0, 4});
+  ASSERT_TRUE(leaves.ok());
+  EXPECT_EQ(leaves->size(), 4u);
   // Out-of-range read rejected before any fetch.
-  EXPECT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{2, 3}, &leaves).IsOutOfRange());
-  EXPECT_TRUE(mc.ReadMeta(anc, 0, 0, 1, Extent{0, 1}, &leaves).IsOutOfRange());
+  EXPECT_TRUE(ReadMeta(mc, anc, 1, 4, Extent{2, 3}).status().IsOutOfRange());
+  EXPECT_TRUE(ReadMeta(mc, anc, 0, 0, Extent{0, 1}).status().IsOutOfRange());
 }
 
 TEST_F(MetaClientTest, ReadMetaDetectsHolesAndTypeMismatches) {
@@ -129,12 +148,11 @@ TEST_F(MetaClientTest, ReadMetaDetectsHolesAndTypeMismatches) {
   ASSERT_TRUE(
       mc.PutNode(NodeKey{1, 1, {0, 4}}, MetaNode::Inner(1, kNoVersion)).ok());
   ASSERT_TRUE(mc.PutNode(NodeKey{1, 1, {0, 2}}, MetaNode::Inner(1, 1)).ok());
-  std::vector<LeafRef> leaves;
-  EXPECT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{2, 2}, &leaves).IsCorruption());
+  EXPECT_TRUE(ReadMeta(mc, anc, 1, 4, Extent{2, 2}).status().IsCorruption());
   // Inner node stored where a leaf must live.
   ASSERT_TRUE(mc.PutNode(NodeKey{1, 1, {0, 1}}, MetaNode::Inner(1, 1)).ok());
   ASSERT_TRUE(mc.PutNode(NodeKey{1, 1, {1, 1}}, MetaNode::Inner(1, 1)).ok());
-  EXPECT_TRUE(mc.ReadMeta(anc, 1, 4, 1, Extent{0, 1}, &leaves).IsCorruption());
+  EXPECT_TRUE(ReadMeta(mc, anc, 1, 4, Extent{0, 1}).status().IsCorruption());
 }
 
 TEST_F(MetaClientTest, ResolveBlockVersionWalksToTheLabel) {
@@ -148,13 +166,13 @@ TEST_F(MetaClientTest, ResolveBlockVersionWalksToTheLabel) {
   BranchAncestry anc({{1, kMaxVersion}});
   // Published root of v2: label of (0,4) is 2; page 0's leaf label is 1
   // (shared with v1), page 1's is 2.
-  auto root = mc.ResolveBlockVersion(anc, 2, 4, 1, Extent{0, 4});
+  auto root = ResolveBlockVersion(mc, anc, 2, 4, Extent{0, 4});
   ASSERT_TRUE(root.ok());
   EXPECT_EQ(*root, 2u);
-  auto page0 = mc.ResolveBlockVersion(anc, 2, 4, 1, Extent{0, 1});
+  auto page0 = ResolveBlockVersion(mc, anc, 2, 4, Extent{0, 1});
   ASSERT_TRUE(page0.ok());
   EXPECT_EQ(*page0, 1u);
-  auto mid = mc.ResolveBlockVersion(anc, 2, 4, 1, Extent{2, 2});
+  auto mid = ResolveBlockVersion(mc, anc, 2, 4, Extent{2, 2});
   ASSERT_TRUE(mid.ok());
   EXPECT_EQ(*mid, 2u);
 }
@@ -164,18 +182,17 @@ TEST_F(MetaClientTest, ResolveBlockVersionEdgeCases) {
   WriteFigure1aTree(&mc);
   BranchAncestry anc({{1, kMaxVersion}});
   // Nothing published: every block is a hole.
-  auto none = mc.ResolveBlockVersion(anc, 0, 0, 1, Extent{0, 1});
+  auto none = ResolveBlockVersion(mc, anc, 0, 0, Extent{0, 1});
   ASSERT_TRUE(none.ok());
   EXPECT_EQ(*none, kNoVersion);
   // Beyond the published span: hole.
-  auto beyond = mc.ResolveBlockVersion(anc, 1, 4, 1, Extent{4, 2});
+  auto beyond = ResolveBlockVersion(mc, anc, 1, 4, Extent{4, 2});
   ASSERT_TRUE(beyond.ok());
   EXPECT_EQ(*beyond, kNoVersion);
   // Strictly containing the published root: must come from the version
   // manager, so the client reports Internal.
-  EXPECT_TRUE(mc.ResolveBlockVersion(anc, 1, 4, 1, Extent{0, 8})
-                  .status()
-                  .IsInternal());
+  EXPECT_TRUE(
+      ResolveBlockVersion(mc, anc, 1, 4, Extent{0, 8}).status().IsInternal());
 }
 
 TEST_F(MetaClientTest, MemoAvoidsRepeatFetchesWithinOneOperation) {
@@ -186,16 +203,16 @@ TEST_F(MetaClientTest, MemoAvoidsRepeatFetchesWithinOneOperation) {
   uint64_t keys0 = 0, bytes0 = 0;
   ASSERT_TRUE(dht_->TotalStats(&keys0, &bytes0).ok());
 
-  MetaClient::NodeMemo memo;
+  auto memo = std::make_shared<MetaClient::SharedNodeMemo>();
   // Resolving all four leaves shares the root and mid-level fetches.
   for (uint64_t p = 0; p < 4; p++) {
-    auto v = mc.ResolveBlockVersion(anc, 1, 4, 1, Extent{p, 1}, &memo);
+    auto v = ResolveBlockVersion(mc, anc, 1, 4, Extent{p, 1}, memo);
     ASSERT_TRUE(v.ok());
     EXPECT_EQ(*v, 1u);
   }
   // Distinct nodes on the 4 paths: root + 2 mid nodes = 3 fetches (leaf
   // labels come from the parents). The memo holds exactly those.
-  EXPECT_EQ(memo.size(), 3u);
+  EXPECT_EQ(memo->map.size(), 3u);
   (void)before_total;
 }
 
@@ -226,10 +243,10 @@ TEST_F(MetaClientTest, BranchAncestryRoutesVersionsToOrigins) {
   EXPECT_EQ(anc.Resolve(3), 1u);
   EXPECT_EQ(anc.Resolve(4), 2u);
   // Descent through the branch point mixes origins transparently.
-  auto label = mc.ResolveBlockVersion(anc, 4, 2, 1, Extent{0, 1});
+  auto label = ResolveBlockVersion(mc, anc, 4, 2, Extent{0, 1});
   ASSERT_TRUE(label.ok());
   EXPECT_EQ(*label, 4u);
-  auto shared = mc.ResolveBlockVersion(anc, 2, 2, 1, Extent{0, 1});
+  auto shared = ResolveBlockVersion(mc, anc, 2, 2, Extent{0, 1});
   ASSERT_TRUE(shared.ok());
   EXPECT_EQ(*shared, 2u);
 }
