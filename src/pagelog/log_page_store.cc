@@ -335,6 +335,8 @@ class LogPageStore : public PageStore {
     return Status::OK();
   }
 
+  bool touches_disk() const override { return true; }
+
   PageStoreStats GetStats() const override {
     std::lock_guard<std::mutex> lock(mu_);
     PageStoreStats st = stats_;

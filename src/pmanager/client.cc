@@ -123,18 +123,36 @@ Result<std::string> ProviderManagerClient::ResolveAddress(ProviderId id) {
 }
 
 Future<std::string> ProviderManagerClient::ResolveAddressAsync(ProviderId id) {
-  auto cached = CachedAddress(id);
-  if (cached.ok()) return MakeReadyFuture<std::string>(std::move(cached));
-  return CallAsync<DirectoryRequest, DirectoryResponse>(
-             rpc::Method::kPmDirectory, DirectoryRequest{})
-      .Then([this, id](Result<DirectoryResponse> rsp) -> Result<std::string> {
-        if (!rsp.ok()) return rsp.status();
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          for (const auto& e : rsp->entries) directory_[e.id] = e.address;
-        }
-        return CachedAddress(id);
+  std::unique_lock<std::mutex> lock(mu_);
+  auto it = directory_.find(id);
+  if (it != directory_.end()) return MakeReadyFuture<std::string>(it->second);
+  Promise<std::string> waiter;
+  Future<std::string> out = waiter.GetFuture();
+  dir_waiters_.emplace_back(id, std::move(waiter));
+  if (dir_waiters_.size() > 1) return out;  // joins the in-flight fetch
+  lock.unlock();
+  CallAsync<DirectoryRequest, DirectoryResponse>(rpc::Method::kPmDirectory,
+                                                 DirectoryRequest{})
+      .OnReady(nullptr, [this](Result<DirectoryResponse> rsp) {
+        FinishDirectoryFetch(std::move(rsp));
       });
+  return out;
+}
+
+void ProviderManagerClient::FinishDirectoryFetch(
+    Result<DirectoryResponse> rsp) {
+  std::vector<std::pair<ProviderId, Promise<std::string>>> waiters;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    waiters.swap(dir_waiters_);
+    if (rsp.ok()) {
+      for (const auto& e : rsp->entries) directory_[e.id] = e.address;
+    }
+  }
+  // Outside mu_: a waiter's continuation may resolve another address.
+  for (auto& [id, waiter] : waiters)
+    waiter.Set(rsp.ok() ? CachedAddress(id)
+                        : Result<std::string>(rsp.status()));
 }
 
 Result<PmStatsResponse> ProviderManagerClient::FetchStats() {

@@ -5,6 +5,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/future.h"
@@ -52,7 +53,9 @@ class ProviderManagerClient {
   Result<PmStatsResponse> FetchStats();
 
   /// Async variants used by the client pipeline; a directory cache hit
-  /// resolves the address future immediately.
+  /// resolves the address future immediately. Concurrent misses share one
+  /// in-flight directory fetch; a failed fetch fails all of them, and the
+  /// next miss fetches again.
   Future<std::vector<std::vector<ProviderId>>> AllocateReplicatedAsync(
       uint32_t num_pages, uint32_t replication);
   Future<std::string> ResolveAddressAsync(ProviderId id);
@@ -64,11 +67,17 @@ class ProviderManagerClient {
   Future<Rsp> CallAsync(rpc::Method method, const Req& req);
 
   Result<std::string> CachedAddress(ProviderId id);
+  /// Completes every waiter of the in-flight directory fetch.
+  void FinishDirectoryFetch(Result<DirectoryResponse> rsp);
+
   rpc::Transport* transport_;
   std::string address_;
   rpc::ChannelPool pool_;
   std::mutex mu_;
   std::map<ProviderId, std::string> directory_;
+  /// Misses waiting on the one in-flight kPmDirectory fetch (guarded by
+  /// mu_); a fetch is in flight exactly while this is non-empty.
+  std::vector<std::pair<ProviderId, Promise<std::string>>> dir_waiters_;
 };
 
 }  // namespace blobseer::pmanager

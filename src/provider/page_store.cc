@@ -263,6 +263,8 @@ class FilePageStore : public PageStore {
     return stats_;
   }
 
+  bool touches_disk() const override { return true; }
+
  private:
   static Status SyncDirOf(const std::string& path) {
     std::string dir = path.substr(0, path.rfind('/'));

@@ -61,6 +61,9 @@ class PageStore {
   virtual Status Compact() { return Status::OK(); }
 
   virtual PageStoreStats GetStats() const = 0;
+
+  /// True for engines whose calls do file I/O (and may block on it).
+  virtual bool touches_disk() const { return false; }
 };
 
 /// Validates a read of [offset, offset+len) against an object of

@@ -44,6 +44,10 @@ class ProviderService : public rpc::ServiceHandler {
   Status Handle(rpc::Method method, Slice payload,
                 std::string* response) override;
 
+  /// A store that touches disk blocks in its calls (and concurrent puts
+  /// must meet in one group-commit sync), so they leave the TCP reactor.
+  bool MayBlock(rpc::Method) const override { return store_->touches_disk(); }
+
   PageStore& store() { return *store_; }
 
   /// Starts a background loop that sends one pmanager Heartbeat (carrying

@@ -13,7 +13,9 @@
 #include <atomic>
 #include <cstring>
 #include <deque>
+#include <functional>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/executor.h"
@@ -106,168 +108,226 @@ void SetNonBlocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
-/// Encodes a complete response frame (see rpc/wire.h frame format v2).
-std::string EncodeResponseFrame(uint64_t corr, const Status& st,
-                                const std::string& payload) {
-  uint32_t msg_len = static_cast<uint32_t>(st.message().size());
-  uint64_t body = kRspHeaderBytes + msg_len + (st.ok() ? payload.size() : 0);
-  if (body > kMaxFrame) {
-    // Oversized response: fail the call instead of corrupting the stream.
-    Status err = Status::InvalidArgument("response too large");
-    return EncodeResponseFrame(corr, err, std::string());
+/// One response frame (see rpc/wire.h frame format v2) awaiting the socket:
+/// head, status message and payload leave in one gather write, never
+/// concatenated into one buffer.
+struct OutFrame {
+  char head[4 + kRspHeaderBytes];
+  std::string msg;
+  std::string payload;
+  size_t sent = 0;  ///< bytes of head+msg+payload already written
+
+  OutFrame(uint64_t corr, const Status& st, std::string rsp) {
+    msg = st.message();
+    if (st.ok()) payload = std::move(rsp);
+    uint8_t code = static_cast<uint8_t>(st.code());
+    if (kRspHeaderBytes + msg.size() + payload.size() > kMaxFrame) {
+      // Oversized response: fail the call instead of corrupting the stream.
+      code = static_cast<uint8_t>(StatusCode::kInvalidArgument);
+      msg = "response too large";
+      payload.clear();
+    }
+    uint32_t msg_len = static_cast<uint32_t>(msg.size());
+    uint32_t len = static_cast<uint32_t>(kRspHeaderBytes + msg_len +
+                                         payload.size());
+    std::memcpy(head, &len, 4);
+    std::memcpy(head + 4, &corr, 8);
+    head[12] = static_cast<char>(code);
+    std::memcpy(head + 13, &msg_len, 4);
   }
-  std::string frame;
-  frame.reserve(4 + body);
-  uint32_t len = static_cast<uint32_t>(body);
-  frame.append(reinterpret_cast<const char*>(&len), 4);
-  frame.append(reinterpret_cast<const char*>(&corr), 8);
-  frame.push_back(static_cast<char>(static_cast<uint8_t>(st.code())));
-  frame.append(reinterpret_cast<const char*>(&msg_len), 4);
-  frame.append(st.message());
-  if (st.ok()) frame.append(payload);
-  return frame;
+};
+
+enum class SendResult { kDone, kBlocked, kFailed };
+
+/// Writes what the socket takes of `f` without blocking.
+SendResult SendFrame(int fd, OutFrame* f) {
+  for (;;) {
+    iovec iov[3];
+    size_t n = 0;
+    size_t skip = f->sent;
+    auto add = [&](const char* p, size_t len) {
+      if (skip >= len) {
+        skip -= len;
+        return;
+      }
+      iov[n++] = {const_cast<char*>(p) + skip, len - skip};
+      skip = 0;
+    };
+    add(f->head, sizeof(f->head));
+    add(f->msg.data(), f->msg.size());
+    add(f->payload.data(), f->payload.size());
+    if (n == 0) return SendResult::kDone;
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = n;
+    ssize_t r = ::sendmsg(fd, &msg, MSG_NOSIGNAL | MSG_DONTWAIT);
+    if (r >= 0) {
+      f->sent += static_cast<size_t>(r);
+      continue;
+    }
+    if (errno == EINTR) continue;
+    if (errno == EAGAIN || errno == EWOULDBLOCK) return SendResult::kBlocked;
+    return SendResult::kFailed;
+  }
 }
 
 }  // namespace
 
 /// One listening endpoint, served by an epoll reactor thread.
 ///
-/// The reactor owns every socket: it accepts connections, reads and parses
-/// request frames, and writes response frames. Requests are dispatched to
-/// the transport's worker executor, which invokes the service handler's
-/// async entry point; the completion callback enqueues the encoded response
-/// frame back to the reactor (eventfd wakeup), which writes it out whenever
-/// the socket accepts it. Responses therefore leave in *completion* order —
-/// a held call (e.g. a parked AwaitPublished subscription) does not block
-/// the requests pipelined behind it on the same connection, and an idle
-/// hold costs no thread anywhere.
+/// The reactor accepts connections, reads and parses request frames, and
+/// runs each request's handler inline: handlers must not block (see
+/// ServiceHandler::MayBlock). Only a method its handler declares blocking
+/// goes to the transport's dispatch pool, with a copy of its payload.
+///
+/// Whichever thread completes a request — the reactor, a pool worker, or a
+/// publisher firing a parked subscription — writes the response straight
+/// to the socket under the connection's write lock, so responses leave in
+/// completion order and a held call blocks neither its connection nor a
+/// server thread. Only what the socket refuses (EAGAIN) is queued on the
+/// connection; EPOLLOUT then hands the rest to the reactor.
 ///
 /// Completion callbacks may outlive both their connection and this server
-/// (a subscription can fire after StopServing); they reach the reactor only
-/// through a shared Core with an `alive` flag, so late completions are
-/// dropped instead of touching freed state.
+/// (a subscription can fire after StopServing). They hold the connection
+/// by shared_ptr, and the reactor closes the socket under the write lock,
+/// so a late completion sees `closed` and drops instead of writing to a
+/// closed or reused fd.
 class TcpServer {
  public:
   TcpServer(int listen_fd, std::shared_ptr<ServiceHandler> handler,
-            Executor* dispatch)
+            std::function<Executor*()> blocking_pool)
       : listen_fd_(listen_fd),
         handler_(std::move(handler)),
-        dispatch_(dispatch),
-        core_(std::make_shared<Core>()) {
+        blocking_pool_(std::move(blocking_pool)) {
     SetNonBlocking(listen_fd_);
     epoll_fd_ = ::epoll_create1(0);
     BS_CHECK(epoll_fd_ >= 0) << "epoll_create1: " << strerror(errno);
-    core_->wake_fd = ::eventfd(0, EFD_NONBLOCK);
-    BS_CHECK(core_->wake_fd >= 0) << "eventfd: " << strerror(errno);
+    stop_fd_ = ::eventfd(0, EFD_NONBLOCK);
+    BS_CHECK(stop_fd_ >= 0) << "eventfd: " << strerror(errno);
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.ptr = &listen_tag_;
     BS_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) == 0);
-    ev.data.ptr = &wake_tag_;
-    BS_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, core_->wake_fd, &ev) == 0);
+    ev.data.ptr = &stop_tag_;
+    BS_CHECK(::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, stop_fd_, &ev) == 0);
     reactor_ = std::thread([this] { ReactorLoop(); });
   }
 
   ~TcpServer() {
-    {
-      std::lock_guard<std::mutex> lock(core_->mu);
-      core_->stop = true;
-      core_->WakeLocked();
-    }
+    uint64_t one = 1;
+    ssize_t r = ::write(stop_fd_, &one, sizeof(one));
+    (void)r;
     reactor_.join();
-    // In-flight handler invocations drain on the transport's dispatch
-    // executor; their completions see core_->alive == false and drop.
+    ::close(stop_fd_);
+    // Requests still running on the dispatch pool or parked in a handler
+    // complete into closed connections and drop.
   }
 
  private:
   struct Conn {
     int fd = -1;
-    /// Set (under Core::mu) by the reactor when the connection dies; late
-    /// completions for it are discarded.
-    bool closed = false;
-    // Reactor-thread-only state below.
+    int epoll_fd = -1;
+    // Reactor-thread-only input state.
     std::string inbuf;
     size_t inpos = 0;
-    std::deque<std::string> outq;  ///< encoded frames awaiting the socket
-    size_t outpos = 0;             ///< bytes of outq.front() already sent
-    bool want_write = false;       ///< EPOLLOUT interest registered
+    // Output state, shared by every completing thread. The reactor closes
+    // the socket under `wmu` too. Never held while a handler runs.
+    std::mutex wmu;
+    bool closed = false;
+    std::deque<OutFrame> outq;  ///< frames the socket has not yet taken
+    bool want_write = false;    ///< EPOLLOUT interest registered
   };
 
-  /// State shared with handler-completion callbacks.
-  struct Core {
-    std::mutex mu;
-    bool alive = true;
-    bool stop = false;
-    int wake_fd = -1;
-    std::deque<std::pair<std::shared_ptr<Conn>, std::string>> completions;
-
-    void WakeLocked() {
-      if (wake_fd < 0) return;
-      uint64_t one = 1;
-      ssize_t r = ::write(wake_fd, &one, sizeof(one));
-      (void)r;  // EAGAIN (counter saturated) still leaves the fd readable
+  /// Sends one response from the completing thread. Frames go out whole and
+  /// in order: behind a non-empty queue a frame only joins the queue.
+  static void Respond(Conn* c, OutFrame frame) {
+    std::lock_guard<std::mutex> lock(c->wmu);
+    if (c->closed) return;
+    if (!c->outq.empty()) {
+      c->outq.push_back(std::move(frame));
+      return;
     }
-
-    void EnqueueResponse(std::shared_ptr<Conn> conn, std::string frame) {
-      std::lock_guard<std::mutex> lock(mu);
-      if (!alive || conn->closed) return;
-      completions.emplace_back(std::move(conn), std::move(frame));
-      WakeLocked();
+    switch (SendFrame(c->fd, &frame)) {
+      case SendResult::kDone:
+        return;
+      case SendResult::kBlocked:
+        c->outq.push_back(std::move(frame));
+        SetWriteInterestLocked(c, true);
+        return;
+      case SendResult::kFailed:
+        // The reactor sees the hang-up and closes the connection.
+        ::shutdown(c->fd, SHUT_RDWR);
+        return;
     }
-  };
+  }
+
+  /// Reactor side of EPOLLOUT: drains the queue as far as the socket takes.
+  static void FlushQueued(Conn* c) {
+    std::lock_guard<std::mutex> lock(c->wmu);
+    if (c->closed) return;
+    while (!c->outq.empty()) {
+      SendResult r = SendFrame(c->fd, &c->outq.front());
+      if (r == SendResult::kBlocked) return;
+      if (r == SendResult::kFailed) {
+        c->outq.clear();
+        ::shutdown(c->fd, SHUT_RDWR);
+        break;
+      }
+      c->outq.pop_front();
+    }
+    SetWriteInterestLocked(c, false);
+  }
+
+  static void SetWriteInterestLocked(Conn* c, bool want) {
+    if (c->want_write == want) return;
+    c->want_write = want;
+    epoll_event ev{};
+    ev.events = EPOLLIN | (want ? static_cast<uint32_t>(EPOLLOUT) : 0u);
+    ev.data.ptr = c;
+    ::epoll_ctl(c->epoll_fd, EPOLL_CTL_MOD, c->fd, &ev);
+  }
 
   void ReactorLoop() {
     epoll_event events[64];
-    for (;;) {
+    bool stop = false;
+    while (!stop) {
       int n = ::epoll_wait(epoll_fd_, events, 64, -1);
       if (n < 0) {
         if (errno == EINTR) continue;
         BS_LOG(Warn) << "epoll_wait: " << strerror(errno);
         break;
       }
-      bool stop = false;
       for (int i = 0; i < n; i++) {
         void* tag = events[i].data.ptr;
         if (tag == &listen_tag_) {
           AcceptReady();
-        } else if (tag == &wake_tag_) {
-          uint64_t drain;
-          while (::read(core_->wake_fd, &drain, sizeof(drain)) > 0) {
-          }
-          DrainCompletions();
-          std::lock_guard<std::mutex> lock(core_->mu);
-          stop = core_->stop;
-        } else {
-          Conn* c = static_cast<Conn*>(tag);
-          // The conn may have been closed by an earlier event in this
-          // batch; its epoll registration is gone then, but the kernel can
-          // still deliver events armed before the EPOLL_CTL_DEL.
-          auto it = conns_.find(c->fd);
-          if (it == conns_.end() || it->second.get() != c) continue;
-          if (events[i].events & (EPOLLERR | EPOLLHUP)) {
-            CloseConn(it->second);
-            continue;
-          }
-          if (events[i].events & EPOLLIN) {
-            if (!ReadReady(it->second)) continue;  // closed
-          }
-          if (events[i].events & EPOLLOUT) FlushWrites(it->second);
+          continue;
         }
+        if (tag == &stop_tag_) {
+          stop = true;
+          continue;
+        }
+        // A conn closed earlier in this batch is gone from conns_ but kept
+        // alive in closed_ until the batch ends, so its address cannot be
+        // reused by a conn accepted in the same batch.
+        auto it = conns_.find(static_cast<Conn*>(tag));
+        if (it == conns_.end()) continue;
+        std::shared_ptr<Conn> conn = it->second;
+        if (events[i].events & (EPOLLERR | EPOLLHUP)) {
+          CloseConn(conn.get());
+          continue;
+        }
+        if ((events[i].events & EPOLLIN) && !ReadReady(conn)) continue;
+        if (events[i].events & EPOLLOUT) FlushQueued(conn.get());
       }
-      if (stop) break;
+      closed_.clear();
     }
-    // Teardown on the reactor thread: close every socket, then mark the
-    // core dead so late completions become no-ops.
-    std::vector<std::shared_ptr<Conn>> victims;
-    for (auto& [fd, conn] : conns_) victims.push_back(conn);
-    for (auto& conn : victims) CloseConn(conn);
+    // Teardown on the reactor thread: close every socket (late completions
+    // then drop), then the reactor's own descriptors.
+    while (!conns_.empty()) CloseConn(conns_.begin()->first);
+    closed_.clear();
     ::close(listen_fd_);
     ::close(epoll_fd_);
-    std::lock_guard<std::mutex> lock(core_->mu);
-    core_->alive = false;
-    ::close(core_->wake_fd);
-    core_->wake_fd = -1;
-    core_->completions.clear();
   }
 
   void AcceptReady() {
@@ -285,6 +345,7 @@ class TcpServer {
       setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto conn = std::make_shared<Conn>();
       conn->fd = fd;
+      conn->epoll_fd = epoll_fd_;
       epoll_event ev{};
       ev.events = EPOLLIN;
       ev.data.ptr = conn.get();
@@ -292,7 +353,7 @@ class TcpServer {
         ::close(fd);
         continue;
       }
-      conns_.emplace(fd, std::move(conn));
+      conns_.emplace(conn.get(), std::move(conn));
     }
   }
 
@@ -307,21 +368,16 @@ class TcpServer {
         if (r < static_cast<ssize_t>(sizeof(buf))) break;
         continue;
       }
-      if (r == 0) {
-        CloseConn(conn);
-        return false;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      CloseConn(conn);
+      if (r < 0 && errno == EINTR) continue;
+      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+      CloseConn(c);  // EOF or error
       return false;
     }
     return ParseFrames(conn);
   }
 
-  /// Splits the connection's input buffer into request frames and
-  /// dispatches each; returns false if a malformed frame closed the
-  /// connection.
+  /// Splits the connection's input buffer into request frames and serves
+  /// each; returns false if a malformed frame closed the connection.
   bool ParseFrames(const std::shared_ptr<Conn>& conn) {
     Conn* c = conn.get();
     for (;;) {
@@ -330,7 +386,7 @@ class TcpServer {
       uint32_t len;
       std::memcpy(&len, c->inbuf.data() + c->inpos, 4);
       if (len < kReqHeaderBytes || len > kMaxFrame) {
-        CloseConn(conn);
+        CloseConn(c);
         return false;
       }
       if (avail < 4 + static_cast<uint64_t>(len)) break;
@@ -339,9 +395,9 @@ class TcpServer {
       uint32_t method;
       std::memcpy(&corr, body, 8);
       std::memcpy(&method, body + 8, 4);
-      std::string payload(body + kReqHeaderBytes, len - kReqHeaderBytes);
       c->inpos += 4 + len;
-      Dispatch(conn, corr, method, std::move(payload));
+      Serve(conn, corr, static_cast<Method>(method),
+            Slice(body + kReqHeaderBytes, len - kReqHeaderBytes));
     }
     if (c->inpos > 0) {
       c->inbuf.erase(0, c->inpos);
@@ -350,121 +406,85 @@ class TcpServer {
     return true;
   }
 
-  void Dispatch(std::shared_ptr<Conn> conn, uint64_t corr, uint32_t method,
-                std::string payload) {
-    // The dispatch task owns the handler (keeps the service alive past
-    // StopServing while it runs) and the payload (HandleAsync only borrows
-    // it); the completion needs neither — just the route back.
-    dispatch_->Schedule([handler = handler_, core = core_,
-                         conn = std::move(conn), corr, method,
-                         payload = std::move(payload)] {
-      handler->HandleAsync(
-          static_cast<Method>(method), Slice(payload),
-          [core, conn, corr](Status st, std::string rsp) {
-            core->EnqueueResponse(conn, EncodeResponseFrame(corr, st, rsp));
-          });
+  /// Runs the handler inline on the reactor, borrowing the payload from the
+  /// input buffer, or — for a method the handler says may block — on the
+  /// dispatch pool with its own copy.
+  void Serve(const std::shared_ptr<Conn>& conn, uint64_t corr, Method method,
+             Slice payload) {
+    HandlerDone done = [conn, corr](Status st, std::string rsp) {
+      Respond(conn.get(), OutFrame(corr, st, std::move(rsp)));
+    };
+    if (!handler_->MayBlock(method)) {
+      handler_->HandleAsync(method, payload, std::move(done));
+      return;
+    }
+    // The task owns the handler (keeps the service alive past StopServing
+    // while it runs) and the payload copy (HandleAsync only borrows it).
+    blocking_pool_()->Schedule([handler = handler_, method,
+                                request = payload.ToString(),
+                                done = std::move(done)]() mutable {
+      handler->HandleAsync(method, Slice(request), std::move(done));
     });
   }
 
-  void DrainCompletions() {
-    std::deque<std::pair<std::shared_ptr<Conn>, std::string>> batch;
+  /// Closes the socket under the write lock, so no completing thread can
+  /// write to the fd after it is closed (or reused).
+  void CloseConn(Conn* c) {
     {
-      std::lock_guard<std::mutex> lock(core_->mu);
-      batch.swap(core_->completions);
-    }
-    for (auto& [conn, frame] : batch) {
-      if (conn->closed) continue;
-      conn->outq.push_back(std::move(frame));
-      FlushWrites(conn);
-    }
-  }
-
-  void FlushWrites(const std::shared_ptr<Conn>& conn) {
-    Conn* c = conn.get();
-    if (c->closed) return;
-    while (!c->outq.empty()) {
-      const std::string& front = c->outq.front();
-      ssize_t r = ::send(c->fd, front.data() + c->outpos,
-                         front.size() - c->outpos, MSG_NOSIGNAL);
-      if (r >= 0) {
-        c->outpos += static_cast<size_t>(r);
-        if (c->outpos == front.size()) {
-          c->outq.pop_front();
-          c->outpos = 0;
-        }
-        continue;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        SetWriteInterest(c, true);
-        return;
-      }
-      CloseConn(conn);
-      return;
-    }
-    SetWriteInterest(c, false);
-  }
-
-  void SetWriteInterest(Conn* c, bool want) {
-    if (c->want_write == want) return;
-    c->want_write = want;
-    epoll_event ev{};
-    ev.events = EPOLLIN | (want ? static_cast<uint32_t>(EPOLLOUT) : 0u);
-    ev.data.ptr = c;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, c->fd, &ev);
-  }
-
-  void CloseConn(const std::shared_ptr<Conn>& conn) {
-    Conn* c = conn.get();
-    if (c->closed) return;
-    {
-      std::lock_guard<std::mutex> lock(core_->mu);
+      std::lock_guard<std::mutex> lock(c->wmu);
       c->closed = true;
+      c->outq.clear();
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c->fd, nullptr);
+      ::close(c->fd);
     }
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, c->fd, nullptr);
-    ::close(c->fd);
-    conns_.erase(c->fd);
+    auto it = conns_.find(c);
+    closed_.push_back(std::move(it->second));
+    conns_.erase(it);
   }
 
   int listen_fd_;
   int epoll_fd_ = -1;
+  int stop_fd_ = -1;    ///< eventfd written once by the destructor
   int listen_tag_ = 0;  ///< epoll data.ptr sentinel for the listen socket
-  int wake_tag_ = 0;    ///< epoll data.ptr sentinel for the wake eventfd
+  int stop_tag_ = 0;    ///< epoll data.ptr sentinel for the stop eventfd
   std::shared_ptr<ServiceHandler> handler_;
-  Executor* dispatch_;
-  std::shared_ptr<Core> core_;
-  std::map<int, std::shared_ptr<Conn>> conns_;  // reactor-thread only
+  std::function<Executor*()> blocking_pool_;
+  // Reactor-thread only.
+  std::unordered_map<Conn*, std::shared_ptr<Conn>> conns_;
+  std::vector<std::shared_ptr<Conn>> closed_;  ///< closed this batch
   std::thread reactor_;
 };
 
 namespace {
 
-/// Reads one response frame. The returned status is transport-level; on OK,
-/// `*corr` identifies the request, `*app_status` carries the application
-/// outcome and `*payload` the body.
+/// Reads one response frame: the fixed head, then the status message, then
+/// the payload straight into `*payload`. The returned status is
+/// transport-level; on OK, `*corr` identifies the request and
+/// `*app_status` carries the application outcome.
 Status ReadResponseFrame(int fd, uint64_t* corr, Status* app_status,
                          std::string* payload) {
-  uint32_t rlen = 0;
-  BS_RETURN_NOT_OK(ReadFull(fd, &rlen, 4));
+  char head[4 + kRspHeaderBytes];
+  BS_RETURN_NOT_OK(ReadFull(fd, head, sizeof(head)));
+  uint32_t rlen;
+  uint32_t msg_len;
+  std::memcpy(&rlen, head, 4);
+  std::memcpy(corr, head + 4, 8);
+  uint8_t code = static_cast<uint8_t>(head[12]);
+  std::memcpy(&msg_len, head + 13, 4);
   if (rlen < kRspHeaderBytes || rlen > kMaxFrame)
     return Status::Corruption("bad response frame length");
-  std::string frame;
-  frame.resize(rlen);
-  BS_RETURN_NOT_OK(ReadFull(fd, frame.data(), rlen));
-  std::memcpy(corr, frame.data(), 8);
-  uint8_t code = static_cast<uint8_t>(frame[8]);
-  uint32_t msg_len;
-  std::memcpy(&msg_len, frame.data() + 9, 4);
   if (kRspHeaderBytes + static_cast<uint64_t>(msg_len) > rlen)
     return Status::Corruption("bad response message length");
+  std::string msg(msg_len, '\0');
+  BS_RETURN_NOT_OK(ReadFull(fd, msg.data(), msg.size()));
+  payload->resize(rlen - kRspHeaderBytes - msg_len);
+  BS_RETURN_NOT_OK(ReadFull(fd, payload->data(), payload->size()));
   if (code != 0) {
-    *app_status = Status::FromCode(static_cast<StatusCode>(code),
-                                   frame.substr(kRspHeaderBytes, msg_len));
+    *app_status =
+        Status::FromCode(static_cast<StatusCode>(code), std::move(msg));
     payload->clear();
   } else {
     *app_status = Status::OK();
-    payload->assign(frame.data() + kRspHeaderBytes + msg_len,
-                    rlen - kRspHeaderBytes - msg_len);
   }
   return Status::OK();
 }
@@ -492,6 +512,15 @@ class TcpChannel : public Channel {
       if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
     }
     for (auto& t : readers_) t.join();
+  }
+
+  /// True when called from one of this channel's reader threads.
+  bool OnReaderThread() {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& t : readers_) {
+      if (t.get_id() == std::this_thread::get_id()) return true;
+    }
+    return false;
   }
 
   Status Call(Method method, Slice request, std::string* response) override {
@@ -728,13 +757,16 @@ Result<std::string> TcpTransport::Serve(
     ::close(fd);
     return Status::AlreadyExists("already serving: " + bound_addr);
   }
-  // The dispatch workers are shared by every server on this transport and
-  // created lazily so client-only transports never spawn them.
-  if (!dispatch_)
-    dispatch_ = std::make_unique<ThreadPoolExecutor>(kDispatchThreads);
-  servers_[bound_addr] =
-      std::make_unique<TcpServer>(fd, std::move(handler), dispatch_.get());
+  servers_[bound_addr] = std::make_unique<TcpServer>(
+      fd, std::move(handler), [this] { return DispatchPool(); });
   return bound_addr;
+}
+
+Executor* TcpTransport::DispatchPool() {
+  std::call_once(dispatch_once_, [this] {
+    dispatch_ = std::make_unique<ThreadPoolExecutor>(kDispatchThreads);
+  });
+  return dispatch_.get();
 }
 
 Status TcpTransport::StopServing(const std::string& address) {
@@ -751,7 +783,16 @@ Status TcpTransport::StopServing(const std::string& address) {
 
 Result<std::shared_ptr<Channel>> TcpTransport::Connect(
     const std::string& address) {
-  return std::shared_ptr<Channel>(std::make_shared<TcpChannel>(address));
+  // The last reference can drop inside a completion callback, i.e. on one
+  // of the channel's reader threads, which its destructor joins: destroy
+  // the channel from a short-lived thread then.
+  return std::shared_ptr<Channel>(new TcpChannel(address), [](TcpChannel* ch) {
+    if (ch->OnReaderThread()) {
+      std::thread([ch] { delete ch; }).detach();
+    } else {
+      delete ch;
+    }
+  });
 }
 
 }  // namespace blobseer::rpc

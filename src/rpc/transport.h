@@ -19,8 +19,11 @@ namespace blobseer::rpc {
 /// or later from any thread.
 using HandlerDone = std::function<void(Status, std::string)>;
 
-/// Server-side request handler. Implementations must be thread-safe: the
-/// TCP transport invokes handlers concurrently from its dispatch workers.
+/// Server-side request handler. Implementations must be thread-safe: every
+/// transport may invoke them concurrently. Handlers run inline on the
+/// transport's thread (the TCP reactor, the in-process caller, a sim task)
+/// and must not block there; a method that can block declares it through
+/// MayBlock.
 class ServiceHandler {
  public:
   virtual ~ServiceHandler() = default;
@@ -42,6 +45,11 @@ class ServiceHandler {
     Status st = Handle(method, payload, &response);
     done(std::move(st), std::move(response));
   }
+
+  /// True when handling `method` may block its thread (disk I/O, a wait on
+  /// another thread). The TCP transport runs such requests on a dispatch
+  /// pool instead of its reactor; every other method runs on the reactor.
+  virtual bool MayBlock(Method /*method*/) const { return false; }
 };
 
 /// Completion callback for CallAsync: transport-or-application status plus

@@ -13,6 +13,12 @@
 // pipelined behind it. v2 is a hard format bump over the id-less v1 frames:
 // client and server always ship from the same tree.
 //
+// The TCP server runs each request's handler on the reactor thread that
+// read the frame, so handlers must not block; a handler whose method can
+// block declares it (ServiceHandler::MayBlock) and that request runs on a
+// dispatch pool instead. The thread that completes a request writes its
+// response frame — head, status message and payload in one gather write.
+//
 // The in-process and simulated transports skip framing and pass the payload
 // and Status through directly.
 #ifndef BLOBSEER_RPC_WIRE_H_

@@ -37,6 +37,13 @@ class VersionManagerService : public rpc::ServiceHandler {
   void HandleAsync(rpc::Method method, Slice payload,
                    rpc::HandlerDone done) override;
 
+  /// Without a timer executor a finite-timeout AwaitPublished waits in
+  /// Handle; every other method, and every await with one, never blocks.
+  bool MayBlock(rpc::Method method) const override {
+    return method == rpc::Method::kVmAwaitPublished &&
+           timer_executor_ == nullptr;
+  }
+
   VersionManagerCore& core() { return *core_; }
 
  private:

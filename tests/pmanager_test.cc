@@ -1,8 +1,11 @@
 // Provider manager tests: allocation strategies and the registry service.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 
+#include "client/blob_client.h"
+#include "core/cluster.h"
 #include "pmanager/client.h"
 #include "pmanager/service.h"
 #include "pmanager/strategy.h"
@@ -203,6 +206,59 @@ TEST_F(PmServiceTest, HeartbeatOverridesLoadEstimate) {
 TEST_F(PmServiceTest, ZeroPageAllocationRejected) {
   ASSERT_TRUE(client_->Register("inproc://prov-a", 0).ok());
   EXPECT_TRUE(client_->AllocateReplicated(0, 1).status().IsInvalidArgument());
+}
+
+// Forwards every call to the cluster's provider manager, counting directory
+// fetches.
+class DirectoryCounter : public rpc::ServiceHandler {
+ public:
+  explicit DirectoryCounter(ProviderManagerService* target)
+      : target_(target) {}
+  Status Handle(rpc::Method method, Slice payload,
+                std::string* response) override {
+    if (method == rpc::Method::kPmDirectory) fetches_++;
+    return target_->Handle(method, payload, response);
+  }
+  int fetches() const { return fetches_.load(); }
+
+ private:
+  ProviderManagerService* target_;
+  std::atomic<int> fetches_{0};
+};
+
+// A fresh client's first read resolves every page's provider at once; the
+// concurrent directory misses share one in-flight kPmDirectory fetch
+// instead of sending one each.
+TEST(PmClientTest, ColdReadFetchesDirectoryOnce) {
+  core::ClusterOptions opts;
+  opts.num_providers = 4;
+  opts.num_meta = 2;
+  opts.transport = "tcp";
+  auto cluster = core::EmbeddedCluster::Start(opts);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  core::EmbeddedCluster& c = **cluster;
+  auto writer = c.NewClient();
+  ASSERT_TRUE(writer.ok());
+  constexpr uint64_t kPage = 4096;
+  constexpr int kPages = 16;
+  auto id = (*writer)->Create(kPage);
+  ASSERT_TRUE(id.ok());
+  std::string data(kPages * kPage, '\0');
+  for (size_t i = 0; i < data.size(); i++) data[i] = static_cast<char>(i * 7);
+  auto v = (*writer)->Append(*id, Slice(data));
+  ASSERT_TRUE(v.ok()) << v.status().ToString();
+  ASSERT_TRUE((*writer)->Sync(*id, *v).ok());
+
+  auto counter = std::make_shared<DirectoryCounter>(&c.pmanager());
+  auto pm = c.transport()->Serve("127.0.0.1:0", counter);
+  ASSERT_TRUE(pm.ok());
+  client::BlobClient reader(c.transport(), c.vmanager_address(), *pm,
+                            c.dht_addresses());
+  std::string out;
+  ASSERT_TRUE(reader.Read(*id, *v, 0, data.size(), &out).ok());
+  EXPECT_EQ(out, data);
+  EXPECT_EQ(counter->fetches(), 1);
+  ASSERT_TRUE(c.transport()->StopServing(*pm).ok());
 }
 
 }  // namespace

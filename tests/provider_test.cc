@@ -10,6 +10,7 @@
 #include "provider/page_store.h"
 #include "provider/service.h"
 #include "rpc/inproc.h"
+#include "rpc/tcp.h"
 
 namespace blobseer::provider {
 namespace {
@@ -170,6 +171,10 @@ TEST_P(PageStoreTest, DeletePersistsAcrossReopen) {
   EXPECT_TRUE(store_->Read(PageId{4, 2}, 0, 0, &out).IsNotFound());
 }
 
+TEST_P(PageStoreTest, TouchesDiskExactlyWhenDurable) {
+  EXPECT_EQ(store_->touches_disk(), GetParam().durable);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Engines, PageStoreTest,
     ::testing::Values(BackendParam{"memory", true, false},
@@ -241,6 +246,34 @@ TEST(ProviderServiceTest, ExtendedStatsTravelTheRpc) {
   EXPECT_GE(stats->syncs, 1u);
   EXPECT_GT(stats->io_submissions, 0u);
   EXPECT_GT(stats->bytes_written, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+// A durable store blocks in its calls, so over TCP its requests leave the
+// reactor for the dispatch pool, where concurrent puts still meet in one
+// group-commit fdatasync instead of syncing one after another.
+TEST(ProviderServiceTest, DurablePutsOverTcpShareGroupCommit) {
+  std::string dir = ::testing::TempDir() + "/bs_group_commit_tcp";
+  std::filesystem::remove_all(dir);
+  {
+    auto svc =
+        std::make_shared<ProviderService>(pagelog::MakeLogPageStore(dir));
+    EXPECT_TRUE(svc->MayBlock(rpc::Method::kProviderWrite));
+    rpc::TcpTransport tcp;
+    auto bound = tcp.Serve("127.0.0.1:0", svc);
+    ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+    ProviderClient client(&tcp);
+    uint64_t syncs_before = svc->store().GetStats().syncs;
+    constexpr uint64_t kPuts = 32;
+    std::string page(4096, 'g');
+    std::vector<Future<Unit>> puts;
+    for (uint64_t i = 0; i < kPuts; i++)
+      puts.push_back(client.WritePageAsync(*bound, PageId{7, i}, Slice(page)));
+    for (auto& f : puts) ASSERT_TRUE(f.Wait().ok());
+    uint64_t syncs = svc->store().GetStats().syncs - syncs_before;
+    EXPECT_GE(syncs, 1u);
+    EXPECT_LT(syncs, kPuts);
+  }
   std::filesystem::remove_all(dir);
 }
 

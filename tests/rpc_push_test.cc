@@ -2,8 +2,9 @@
 // pipelined requests complete behind a held AwaitPublished (no head-of-line
 // blocking), parked subscriptions resolve at publish / drain at timeout /
 // survive client disconnect, connection churn leaves the server thread
-// count flat, ChannelPool connects outside its lock, and under simnet a
-// SYNC resolves within ~1 RTT of the publish in virtual time.
+// count flat, non-blocking servers start no dispatch threads, ChannelPool
+// connects outside its lock, and under simnet a SYNC resolves within ~1 RTT
+// of the publish in virtual time.
 #include <gtest/gtest.h>
 
 #include <dirent.h>
@@ -62,9 +63,9 @@ size_t CountThreads() {
 
 // The tentpole regression: with the old one-thread-per-connection FIFO
 // server, a held AwaitPublished stalled every request pipelined behind it
-// on the same connection for the full hold. The reactor dispatches each
-// frame to a worker and writes responses in completion order, so the
-// pipelined calls finish in milliseconds while the hold stays parked.
+// on the same connection for the full hold. The reactor serves each frame
+// and responses leave in completion order, so the pipelined calls finish
+// in milliseconds while the hold stays parked.
 TEST(RpcPushTcp, PipelinedRequestsCompleteBehindHeldAwait) {
   ThreadPoolExecutor timers(2);  // outlives the service: hosts watchdogs
   rpc::TcpTransport transport;
@@ -101,9 +102,10 @@ TEST(RpcPushTcp, PipelinedRequestsCompleteBehindHeldAwait) {
   EXPECT_TRUE(WaitFor([&] { return svc->core().waiter_count() == 0; }));
 }
 
-// Satellite (a): connection churn must not accrete server threads. The
-// reactor owns a fixed thread budget (one reactor + a bounded dispatch
-// pool), so cycling many connections leaves /proc/self/task flat.
+// Connection churn must not accrete server threads. The server owns a
+// fixed thread budget (one reactor, plus a bounded dispatch pool once a
+// blocking method arrives), so cycling many connections leaves
+// /proc/self/task flat.
 TEST(RpcPushTcp, ConnectionChurnKeepsThreadCountFlat) {
   rpc::TcpTransport transport;
   auto svc = std::make_shared<vmanager::VersionManagerService>();
@@ -118,7 +120,7 @@ TEST(RpcPushTcp, ConnectionChurnKeepsThreadCountFlat) {
     Status st = (*ch)->Call(rpc::Method::kVmListBlobs, Slice(), &rsp);
     ASSERT_TRUE(st.ok()) << st.ToString();
   };
-  cycle();  // warm-up: spins up the lazy dispatch pool
+  cycle();  // warm-up
   size_t baseline = CountThreads();
   ASSERT_GT(baseline, 0u);
   for (int i = 0; i < 64; i++) cycle();
@@ -126,6 +128,40 @@ TEST(RpcPushTcp, ConnectionChurnKeepsThreadCountFlat) {
   // reactor adds nothing per connection. Slack covers unrelated runtime
   // threads coming and going.
   EXPECT_LE(CountThreads(), baseline + 8);
+}
+
+// Handlers that never block run on the reactor: serving and answering
+// calls costs the server one reactor thread, not the dispatch pool. The
+// pool starts with the first method a handler declares blocking — here a
+// finite-timeout AwaitPublished on a service without a timer executor,
+// which waits in its handler.
+TEST(RpcPushTcp, NonBlockingServerStartsNoDispatchThreads) {
+  ThreadPoolExecutor timers(2);
+  size_t before = CountThreads();
+  rpc::TcpTransport transport;
+  auto svc = std::make_shared<vmanager::VersionManagerService>(nullptr,
+                                                               &timers);
+  auto bound = transport.Serve("127.0.0.1:0", svc);
+  ASSERT_TRUE(bound.ok());
+  vmanager::VersionManagerClient vm(&transport, *bound, /*channels=*/1);
+  auto desc = vm.CreateBlob(64);
+  ASSERT_TRUE(desc.ok());
+  ASSERT_TRUE(vm.AssignVersion(desc->id, true, 0, 8).ok());
+  for (int i = 0; i < 16; i++) ASSERT_TRUE(vm.GetRecent(desc->id).ok());
+  EXPECT_TRUE(vm.AwaitPublished(desc->id, 1, 1000).IsTimedOut());
+  // The server's reactor plus the client channel's reader thread.
+  EXPECT_LE(CountThreads(), before + 2);
+
+  auto blocking = std::make_shared<vmanager::VersionManagerService>();
+  ASSERT_TRUE(blocking->MayBlock(rpc::Method::kVmAwaitPublished));
+  auto bound2 = transport.Serve("127.0.0.1:0", blocking);
+  ASSERT_TRUE(bound2.ok());
+  vmanager::VersionManagerClient vm2(&transport, *bound2, /*channels=*/1);
+  auto desc2 = vm2.CreateBlob(64);
+  ASSERT_TRUE(desc2.ok());
+  ASSERT_TRUE(vm2.AssignVersion(desc2->id, true, 0, 8).ok());
+  EXPECT_TRUE(vm2.AwaitPublished(desc2->id, 1, 1000).IsTimedOut());
+  EXPECT_GE(CountThreads(), before + 16);
 }
 
 class PushTransportTest : public ::testing::TestWithParam<std::string> {

@@ -290,6 +290,172 @@ TEST(TcpTest, ConnectFailureIsUnavailable) {
   EXPECT_TRUE(s.IsUnavailable()) << s.ToString();
 }
 
+// Echoes kDhtPut inline; kDhtCas is declared blocking and parks in its
+// handler until released.
+class GateService : public ServiceHandler {
+ public:
+  Status Handle(Method method, Slice payload, std::string* response) override {
+    if (method == Method::kDhtPut) {
+      *response = payload.ToString();
+      return Status::OK();
+    }
+    if (method != Method::kDhtCas) return Status::NotSupported("gate");
+    std::unique_lock<std::mutex> lock(mu_);
+    parked_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [&] { return released_; });
+    *response = "released";
+    return Status::OK();
+  }
+  bool MayBlock(Method method) const override {
+    return method == Method::kDhtCas;
+  }
+  void AwaitParked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return parked_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+};
+
+// A blocking method runs off the reactor: while it parks in its handler,
+// inline calls to the same endpoint keep completing.
+TEST(TcpTest, BlockingMethodParksWhileInlineCallsComplete) {
+  TcpTransport t;
+  auto svc = std::make_shared<GateService>();
+  auto bound = t.Serve("127.0.0.1:0", svc);
+  ASSERT_TRUE(bound.ok());
+  auto held_ch = t.Connect(*bound);
+  auto other_ch = t.Connect(*bound);
+  ASSERT_TRUE(held_ch.ok() && other_ch.ok());
+
+  auto held_done = std::make_shared<CondVarWaitEvent>();
+  Status held_st = Status::Internal("callback never ran");
+  std::string held_out;
+  (*held_ch)->CallAsync(Method::kDhtCas, Slice("hold"),
+                        [&, held_done](Status st, std::string out) {
+                          held_st = std::move(st);
+                          held_out = std::move(out);
+                          held_done->Signal();
+                        });
+  svc->AwaitParked();
+  for (int i = 0; i < 20; i++) {
+    std::string payload = "inline-" + std::to_string(i);
+    std::string out;
+    ASSERT_TRUE((*other_ch)->Call(Method::kDhtPut, Slice(payload), &out).ok());
+    EXPECT_EQ(out, payload);
+  }
+  svc->Release();
+  held_done->Await();
+  EXPECT_TRUE(held_st.ok()) << held_st.ToString();
+  EXPECT_EQ(held_out, "released");
+  ASSERT_TRUE(t.StopServing(*bound).ok());
+}
+
+// A completion callback runs on the channel's reader thread and may drop the
+// last reference to the channel (a pool invalidating a failed endpoint does
+// this). Destroying the channel must not join the reader thread from
+// itself.
+TEST(TcpTest, ChannelReleasedInsideItsOwnCallback) {
+  TcpTransport t;
+  auto bound = t.Serve("127.0.0.1:0", std::make_shared<EchoService>());
+  ASSERT_TRUE(bound.ok());
+  auto ch = t.Connect(*bound);
+  ASSERT_TRUE(ch.ok());
+  Channel* raw = ch->get();
+  auto last_ref = std::make_shared<std::shared_ptr<Channel>>(*ch);
+  ch->reset();  // `last_ref` now owns the channel
+  auto done = std::make_shared<CondVarWaitEvent>();
+  Status st = Status::Internal("callback never ran");
+  raw->CallAsync(Method::kDhtPut, Slice("bye"),
+                 [&st, last_ref, done](Status s, std::string) {
+                   st = std::move(s);
+                   last_ref->reset();
+                   done->Signal();
+                 });
+  done->Await();
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  ASSERT_TRUE(t.StopServing(*bound).ok());
+}
+
+// kDhtGet answers with the number of pattern bytes its payload names;
+// kDhtPut echoes.
+class BulkService : public ServiceHandler {
+ public:
+  static char PatternByte(size_t i) { return static_cast<char>(i * 131 + 7); }
+  Status Handle(Method method, Slice payload, std::string* response) override {
+    if (method == Method::kDhtPut) {
+      *response = payload.ToString();
+      return Status::OK();
+    }
+    if (method != Method::kDhtGet) return Status::NotSupported("bulk");
+    size_t n = std::stoull(payload.ToString());
+    response->resize(n);
+    for (size_t i = 0; i < n; i++) (*response)[i] = PatternByte(i);
+    return Status::OK();
+  }
+};
+
+// A response far larger than the socket buffer cannot leave in one write:
+// the rest is queued and the reactor finishes it on EPOLLOUT, while the
+// small responses pipelined behind it on the same channel queue up in
+// order. Every byte of every response must arrive intact.
+TEST(TcpTest, LargeResponseAndPipelinedCallsShareOneChannel) {
+  TcpTransport t;
+  auto bound = t.Serve("127.0.0.1:0", std::make_shared<BulkService>());
+  ASSERT_TRUE(bound.ok());
+  auto ch = t.Connect(*bound);
+  ASSERT_TRUE(ch.ok());
+
+  constexpr size_t kBig = 32u << 20;
+  constexpr int kSmall = 100;
+  std::mutex mu;
+  std::condition_variable cv;
+  int remaining = kSmall + 1;
+  Status big_st = Status::Internal("callback never ran");
+  std::string big;
+  std::atomic<int> small_mismatches{0};
+  auto finish = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    if (--remaining == 0) cv.notify_all();
+  };
+  (*ch)->CallAsync(Method::kDhtGet, Slice(std::to_string(kBig)),
+                   [&](Status st, std::string out) {
+                     big_st = std::move(st);
+                     big = std::move(out);
+                     finish();
+                   });
+  for (int i = 0; i < kSmall; i++) {
+    std::string payload = "small-" + std::to_string(i);
+    (*ch)->CallAsync(Method::kDhtPut, Slice(payload),
+                     [&, expect = payload](Status st, std::string out) {
+                       if (!st.ok() || out != expect) small_mismatches++;
+                       finish();
+                     });
+  }
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return remaining == 0; });
+  }
+  ASSERT_TRUE(big_st.ok()) << big_st.ToString();
+  ASSERT_EQ(big.size(), kBig);
+  size_t bad = 0;
+  for (size_t i = 0; i < kBig; i++)
+    bad += big[i] != BulkService::PatternByte(i);
+  EXPECT_EQ(bad, 0u);
+  EXPECT_EQ(small_mismatches.load(), 0);
+  ASSERT_TRUE(t.StopServing(*bound).ok());
+}
+
 TEST(CompositeHandlerTest, RoutesByMethodBlock) {
   CompositeHandler composite;
   auto echo = std::make_shared<EchoService>();
@@ -298,6 +464,12 @@ TEST(CompositeHandlerTest, RoutesByMethodBlock) {
   EXPECT_TRUE(composite.Handle(Method::kDhtPut, Slice("a"), &out).ok());
   EXPECT_TRUE(composite.Handle(Method::kProviderRead, Slice("a"), &out)
                   .IsNotSupported());
+  // MayBlock is the routed service's answer; unrouted methods never block.
+  CompositeHandler gated;
+  gated.Register(100, std::make_shared<GateService>());
+  EXPECT_TRUE(gated.MayBlock(Method::kDhtCas));
+  EXPECT_FALSE(gated.MayBlock(Method::kDhtPut));
+  EXPECT_FALSE(gated.MayBlock(Method::kVmGetRecent));
 }
 
 // Typed call helpers.
