@@ -29,9 +29,7 @@ Point RunPsize(uint64_t psize, uint64_t total_bytes) {
     opts.num_client_nodes = 1;
     core::SimCluster cluster(&sched, opts);
     sched.SetCurrentNode(cluster.client_node(0));
-    client::ClientOptions copts;
-    copts.data_fanout = 16;
-    auto client = cluster.NewClient(copts);
+    auto client = cluster.NewClient();
     auto id = client->Create(psize);
     if (!id.ok()) return;
 

@@ -83,7 +83,6 @@ void MergeClientStats(blobseer::client::ClientStats* into,
   into->read_repairs += s.read_repairs;
   into->degraded_writes += s.degraded_writes;
   into->locations_published += s.locations_published;
-  into->location_seeds += s.location_seeds;
   into->location_refreshes += s.location_refreshes;
   into->dedup_hits += s.dedup_hits;
 }
@@ -163,7 +162,6 @@ JsonObject ClientJson(const blobseer::client::ClientStats& s) {
   o.PutU64("read_repairs", s.read_repairs);
   o.PutU64("degraded_writes", s.degraded_writes);
   o.PutU64("locations_published", s.locations_published);
-  o.PutU64("location_seeds", s.location_seeds);
   o.PutU64("location_refreshes", s.location_refreshes);
   return o;
 }

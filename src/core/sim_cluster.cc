@@ -154,7 +154,7 @@ std::unique_ptr<client::BlobClient> SimCluster::NewClient(
   if (base.write_quorum == 0) base.write_quorum = options_.write_quorum;
   return std::make_unique<client::BlobClient>(
       transport_.get(), vm_address_, pm_address_, dht_addresses_, base,
-      clock_.get(), executor_.get());
+      executor_.get());
 }
 
 Status SimCluster::StopProvider(size_t index) {

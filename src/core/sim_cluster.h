@@ -84,8 +84,8 @@ class SimCluster {
   }
   size_t num_provider_nodes() const { return options_.num_provider_nodes; }
 
-  /// Builds a client whose blocking behaviour, clock and executor are wired
-  /// for virtual time. The client issues RPCs from whichever sim task calls
+  /// Builds a client whose blocking behaviour and executor are wired for
+  /// virtual time. The client issues RPCs from whichever sim task calls
   /// it (set the task's node id to place it).
   std::unique_ptr<client::BlobClient> NewClient(
       client::ClientOptions base = {});

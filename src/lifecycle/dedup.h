@@ -16,10 +16,12 @@
 #include <cstdint>
 #include <string>
 
+#include "common/future.h"
 #include "common/hash.h"
 #include "common/result.h"
 #include "common/serde.h"
 #include "common/types.h"
+#include "dht/client.h"
 
 namespace blobseer::lifecycle {
 
@@ -71,6 +73,15 @@ inline Result<PageId> DecodeHashTarget(const std::string& bytes) {
   if (!pid.valid()) return Status::Corruption("hash target pid invalid");
   return pid;
 }
+
+/// Drops the 'H' mapping of `hash` iff it still names `pid`. A repair CAS
+/// may already have repointed the hash at another live page; that mapping
+/// stays. Resolves true when this call deleted the mapping and false when
+/// it names another page; a missing mapping or a DHT failure resolves to
+/// the error. Shared by the client's failed-write cleanup and the GC
+/// sweeper.
+Future<bool> UnlinkHashAsync(dht::DhtClient* dht, const ContentHash& hash,
+                             const PageId& pid);
 
 }  // namespace blobseer::lifecycle
 

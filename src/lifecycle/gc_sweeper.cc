@@ -6,29 +6,10 @@
 #include "common/tree_layout.h"
 #include "lifecycle/dedup.h"
 #include "lifecycle/retention.h"
-#include "provider/messages.h"
-#include "rpc/call.h"
 
 namespace blobseer::lifecycle {
 
 namespace {
-
-// Same reconnect-once-on-Unavailable idiom as the rebuilder: deletes are
-// idempotent, and on binding transports a pooled channel can go stale when
-// a provider restarts under the same address.
-template <typename Req, typename Rsp>
-Status CallProvider(rpc::ChannelPool* pool, const std::string& address,
-                    rpc::Method method, const Req& req, Rsp* rsp) {
-  auto ch = pool->Get(address);
-  if (!ch.ok()) return ch.status();
-  Status s = rpc::CallMethod(ch->get(), method, req, rsp);
-  if (!s.IsUnavailable() || !pool->binding()) return s;
-  pool->Invalidate(address);
-  ch = pool->Get(address);
-  if (!ch.ok()) return s;
-  *rsp = Rsp{};
-  return rpc::CallMethod(ch->get(), method, req, rsp);
-}
 
 // RAII over the pass-active flag so every RunOnePass exit path (including
 // the strict-mark aborts) leaves Drained() true.
@@ -60,10 +41,9 @@ GcSweeper::GcSweeper(locator::PageLocationTable* table, ProvidersFn providers,
       vm_(transport, std::move(vm_address), /*channels=*/1),
       dht_(transport, std::move(dht_nodes), dht_options),
       index_(&dht_, /*cache_capacity=*/0),
-      meta_(&dht_, /*executor=*/nullptr,
-            meta::MetaClientOptions{/*cache_enabled=*/false,
-                                    /*cache_capacity=*/0, /*fanout=*/1}),
-      providers_pool_(transport, /*channels_per_endpoint=*/1) {}
+      meta_(&dht_, meta::MetaClientOptions{/*cache_enabled=*/false,
+                                           /*cache_capacity=*/0}),
+      pages_(transport, /*channels_per_endpoint=*/1) {}
 
 GcSweeper::~GcSweeper() { Stop(); }
 
@@ -86,7 +66,7 @@ Status GcSweeper::WalkVersion(const BranchAncestry& ancestry, Version version,
     // The accumulator set doubles as the visited set: a node already
     // recorded had its whole subtree (and leaf chain) recorded too.
     if (!nodes->insert(key.ToDhtKey()).second) continue;
-    Result<meta::MetaNode> node = meta_.GetNode(key);
+    Result<meta::MetaNode> node = meta_.GetNodeAsync(key).Wait(executor_);
     if (!node.ok()) {
       if (tolerant && node.status().IsNotFound()) continue;
       return node.status();
@@ -112,7 +92,8 @@ Status GcSweeper::WalkVersion(const BranchAncestry& ancestry, Version version,
 Status GcSweeper::SweepPage(
     const PageId& pid,
     const std::unordered_map<ProviderId, locator::ProviderView>& views) {
-  Result<locator::LocationEntry> entry = index_.Resolve(pid);
+  Result<locator::LocationEntry> entry =
+      index_.ResolveAsync(pid).Wait(executor_);
   if (!entry.ok()) return entry.status();  // NotFound = already swept
   locator::LocationEntry condemned = *entry;
   if (!condemned.condemned()) {
@@ -122,7 +103,8 @@ Status GcSweeper::SweepPage(
     // whose mark walk will see the adopter's version.
     condemned.refs = 0;
     Result<locator::LocationEntry> cas =
-        index_.CompareAndSwapEntry(pid, *entry, condemned);
+        index_.CompareAndSwapEntryAsync(pid, *entry, condemned)
+            .Wait(executor_);
     if (!cas.ok()) return cas.status();
     condemned = *cas;
   }
@@ -132,30 +114,22 @@ Status GcSweeper::SweepPage(
   for (ProviderId m : condemned.providers) {
     auto it = views.find(m);
     if (it == views.end() || !it->second.up) continue;
-    provider::DeleteRequest del{pid};
-    provider::DeleteResponse drsp;
-    (void)CallProvider(&providers_pool_, it->second.address,
-                       rpc::Method::kProviderDelete, del, &drsp);
+    (void)pages_.DeletePageAsync(it->second.address, pid).Wait(executor_);
   }
   // Drop the 'H' mapping if it still points at this page (a losing
   // adopter may already have repaired it to a fresh PageId — leave that).
-  if (condemned.hash_hi != 0 || condemned.hash_lo != 0) {
-    std::string hkey = HashKey(condemned.hash_hi, condemned.hash_lo);
-    std::string cur;
-    if (dht_.Get(Slice(hkey), &cur).ok()) {
-      Result<PageId> target = DecodeHashTarget(cur);
-      if (target.ok() && *target == pid) {
-        if (dht_.Delete(Slice(hkey)).ok()) {
-          std::lock_guard<std::mutex> lock(mu_);
-          stats_.hash_links_removed++;
-        }
-      }
+  const ContentHash hash{condemned.hash_hi, condemned.hash_lo};
+  if (hash.valid()) {
+    Result<bool> unlinked = UnlinkHashAsync(&dht_, hash, pid).Wait(executor_);
+    if (unlinked.ok() && *unlinked) {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.hash_links_removed++;
     }
   }
   // The entry goes last: a crash before this point leaves a condemned
   // entry the next pass finds and finishes (every step above is
   // idempotent).
-  (void)index_.DeleteEntry(pid);
+  (void)index_.DeleteEntryAsync(pid).Wait(executor_);
   table_->Forget(pid);
   return Status::OK();
 }
@@ -184,12 +158,12 @@ Status GcSweeper::RunOnePass(uint64_t now_us) {
   std::vector<BlobScan> scans;
   bool have_candidates = false;
   for (BlobId id : *blob_ids) {
-    Result<BlobDescriptor> desc = vm_.OpenBlob(id, nullptr, nullptr);
-    if (!desc.ok()) {
-      if (desc.status().IsNotFound()) continue;
+    Result<vmanager::OpenInfo> open = vm_.OpenBlobAsync(id).Wait(executor_);
+    if (!open.ok()) {
+      if (open.status().IsNotFound()) continue;
       std::lock_guard<std::mutex> lock(mu_);
       stats_.errors++;
-      return desc.status();
+      return open.status();
     }
     Result<std::vector<vmanager::VersionInfo>> versions = vm_.ListVersions(id);
     if (!versions.ok()) {
@@ -219,7 +193,7 @@ Status GcSweeper::RunOnePass(uint64_t now_us) {
         }
       }
     }
-    BlobScan scan{std::move(desc).ValueUnsafe(),
+    BlobScan scan{std::move(open->descriptor),
                   std::move(versions).ValueUnsafe()};
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -308,7 +282,7 @@ Status GcSweeper::RunOnePass(uint64_t now_us) {
   // deleting a version's root strands whatever pages were left unswept.
   if (truncated) return Status::OK();
   for (const std::string& key : candidate_nodes) {
-    Status s = dht_.Delete(Slice(key));
+    Status s = dht_.DeleteAsync(Slice(key)).Wait(executor_).status();
     std::lock_guard<std::mutex> lock(mu_);
     if (s.ok() || s.IsNotFound()) {
       stats_.nodes_retired++;
@@ -327,7 +301,9 @@ Status GcSweeper::RunOnePass(uint64_t now_us) {
 }
 
 void GcSweeper::Start(Executor* executor, Clock* clock) {
-  if (options_.interval_us == 0 || loop_) return;
+  if (loop_) return;
+  executor_ = executor;
+  if (options_.interval_us == 0) return;
   auto loop = std::make_shared<Loop>();
   loop->done = executor->MakeWaitEvent();
   loop_ = loop;

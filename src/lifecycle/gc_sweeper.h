@@ -49,7 +49,7 @@
 #include "locator/rebuilder.h"
 #include "locator/table.h"
 #include "meta/meta_client.h"
-#include "rpc/channel_pool.h"
+#include "provider/client.h"
 #include "vmanager/client.h"
 
 namespace blobseer::lifecycle {
@@ -94,12 +94,16 @@ class GcSweeper {
   /// against it). Safe to call directly from tests and benches (no loop
   /// required). Returns the first hard error, or OK — per-page failures are
   /// counted in stats and retried next pass, they do not fail the pass.
+  /// Page, DHT and OpenBlob calls are async calls waited on the Start
+  /// executor (a plain condvar before Start), so a pass run outside the
+  /// loop must run on a real thread.
   Status RunOnePass(uint64_t now_us);
 
   /// Starts / stops the periodic pass loop on `executor`, paced by `clock`
-  /// (real or simulated). No-op when options.interval_us is 0. Stop joins
-  /// the loop, so after it returns no pass (and none of its delete RPCs)
-  /// is still in flight — harness teardown asserts Drained().
+  /// (real or simulated). With options.interval_us 0 no loop starts, but
+  /// passes still wait on `executor`. Stop joins the loop, so after it
+  /// returns no pass (and none of its delete RPCs) is still in flight —
+  /// harness teardown asserts Drained().
   void Start(Executor* executor, Clock* clock);
   void Stop();
 
@@ -134,10 +138,11 @@ class GcSweeper {
   dht::DhtClient dht_;
   // No location cache: condemn CAS must start from the authoritative entry.
   locator::LocationIndex index_;
-  // Cache off and no executor: the sweeper only uses the synchronous
-  // GetNode path, and cached nodes of retired versions would be garbage.
+  // Cache off: cached nodes of retired versions would be garbage.
   meta::MetaClient meta_;
-  rpc::ChannelPool providers_pool_;
+  provider::ProviderClient pages_;
+  /// Where passes park while an RPC is in flight (set by Start).
+  Executor* executor_ = nullptr;
 
   std::atomic<bool> pass_active_{false};
 

@@ -4,31 +4,8 @@
 #include <limits>
 #include <utility>
 
-#include "provider/messages.h"
-#include "rpc/call.h"
 
 namespace blobseer::locator {
-
-namespace {
-
-// Same reconnect-once-on-Unavailable idiom as the DHT client: page ops are
-// idempotent, and on binding transports a pooled channel can go stale when
-// a provider restarts under the same address.
-template <typename Req, typename Rsp>
-Status CallProvider(rpc::ChannelPool* pool, const std::string& address,
-                    rpc::Method method, const Req& req, Rsp* rsp) {
-  auto ch = pool->Get(address);
-  if (!ch.ok()) return ch.status();
-  Status s = rpc::CallMethod(ch->get(), method, req, rsp);
-  if (!s.IsUnavailable() || !pool->binding()) return s;
-  pool->Invalidate(address);
-  ch = pool->Get(address);
-  if (!ch.ok()) return s;
-  *rsp = Rsp{};
-  return rpc::CallMethod(ch->get(), method, req, rsp);
-}
-
-}  // namespace
 
 struct Rebuilder::Loop {
   std::atomic<bool> stop{false};
@@ -46,7 +23,7 @@ Rebuilder::Rebuilder(PageLocationTable* table, ProvidersFn providers,
       // No location cache: every CAS must start from the authoritative
       // entry, and the table already memoizes what this process learned.
       index_(&dht_, /*cache_capacity=*/0),
-      providers_pool_(transport, /*channels_per_endpoint=*/1) {}
+      pages_(transport, /*channels_per_endpoint=*/1) {}
 
 Rebuilder::~Rebuilder() { Stop(); }
 
@@ -65,16 +42,15 @@ Status Rebuilder::MovePage(
   const bool from_up = from_it != views.end() && from_it->second.up;
   if (from_up) sources.push_back(&from_it->second);
 
-  provider::ReadRequest read{pid, 0, 0};
-  provider::ReadResponse page;
-  Status rs = Status::Unavailable("no live replica to copy from");
+  Result<std::string> page =
+      Status::Unavailable("no live replica to copy from");
   for (const ProviderView* src : sources) {
-    page = provider::ReadResponse{};
-    rs = CallProvider(&providers_pool_, src->address,
-                      rpc::Method::kProviderRead, read, &page);
-    if (rs.ok()) break;
+    // len 0 reads the whole stored object.
+    page = pages_.ReadPageAsync(src->address, pid, 0, 0).Wait(executor_);
+    if (page.ok()) break;
   }
-  if (!rs.ok()) {
+  if (!page.ok()) {
+    const Status& rs = page.status();
     // A NotFound here means the page object is missing on a live source,
     // not that the location entry vanished — keep the distinction for the
     // caller, which treats NotFound as "entry deleted".
@@ -84,10 +60,10 @@ Status Rebuilder::MovePage(
   auto to_it = views.find(to);
   if (to_it == views.end())
     return Status::Internal("rebuild target not in provider view");
-  provider::WriteRequest write{pid, std::move(page.data)};
-  provider::WriteResponse wrsp;
-  BS_RETURN_NOT_OK(CallProvider(&providers_pool_, to_it->second.address,
-                                rpc::Method::kProviderWrite, write, &wrsp));
+  BS_RETURN_NOT_OK(
+      pages_.WritePageAsync(to_it->second.address, pid, Slice(*page))
+          .Wait(executor_)
+          .status());
 
   // Commit: the location entry flips to the new set in one CAS, so readers
   // either see the old set (and fail over off the bad member) or the new
@@ -95,16 +71,14 @@ Status Rebuilder::MovePage(
   std::vector<ProviderId> next = entry->providers;
   std::replace(next.begin(), next.end(), from, to);
   Result<LocationEntry> installed =
-      index_.CompareAndSwap(pid, *entry, std::move(next));
+      index_.CompareAndSwapAsync(pid, *entry, std::move(next)).Wait(executor_);
   if (!installed.ok()) {
     if (installed.status().IsNotFound()) {
       // The GC sweeper deleted the entry between our read and the CAS: the
       // copy we just wrote is unreachable garbage — remove it so it cannot
       // leak on the target provider.
-      provider::DeleteRequest del{pid};
-      provider::DeleteResponse drsp;
-      (void)CallProvider(&providers_pool_, to_it->second.address,
-                         rpc::Method::kProviderDelete, del, &drsp);
+      (void)pages_.DeletePageAsync(to_it->second.address, pid)
+          .Wait(executor_);
     }
     return installed.status();
   }
@@ -112,10 +86,8 @@ Status Rebuilder::MovePage(
   table_->Record(pid, *entry);
 
   if (from_up) {
-    provider::DeleteRequest del{pid};
-    provider::DeleteResponse drsp;
-    (void)CallProvider(&providers_pool_, from_it->second.address,
-                       rpc::Method::kProviderDelete, del, &drsp);
+    (void)pages_.DeletePageAsync(from_it->second.address, pid)
+        .Wait(executor_);
   }
   return Status::OK();
 }
@@ -190,7 +162,8 @@ size_t Rebuilder::RunOnePass() {
             std::lock_guard<std::mutex> lock(stats_mu_);
             stats_.cas_conflicts++;
           }
-          Result<LocationEntry> fresh = index_.Resolve(pid);
+          Result<LocationEntry> fresh =
+              index_.ResolveAsync(pid).Wait(executor_);
           if (fresh.ok()) {
             if (fresh->condemned()) {
               // The conflicting CAS was the GC sweeper condemning the page;
@@ -257,7 +230,9 @@ size_t Rebuilder::RunOnePass() {
 }
 
 void Rebuilder::Start(Executor* executor, Clock* clock) {
-  if (options_.interval_us == 0 || loop_) return;
+  if (loop_) return;
+  executor_ = executor;
+  if (options_.interval_us == 0) return;
   auto loop = std::make_shared<Loop>();
   loop->done = executor->MakeWaitEvent();
   loop_ = loop;

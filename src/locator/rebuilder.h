@@ -20,7 +20,7 @@
 #include "dht/client.h"
 #include "locator/location.h"
 #include "locator/table.h"
-#include "rpc/channel_pool.h"
+#include "provider/client.h"
 
 namespace blobseer::locator {
 
@@ -71,10 +71,14 @@ class Rebuilder {
   /// One scan of the location table: heal entries with dead members, drain
   /// entries on draining providers, then rebalance. Returns the number of
   /// pages moved. Safe to call directly from tests (no loop required).
+  /// Every RPC is an async call waited on the Start executor (a plain
+  /// condvar before Start), so a pass run outside the loop must run on a
+  /// real thread.
   size_t RunOnePass();
 
   /// Starts / stops the periodic pass loop on `executor`, paced by `clock`
-  /// (real or simulated). No-op when options.interval_us is 0.
+  /// (real or simulated). With options.interval_us 0 no loop starts, but
+  /// passes still wait on `executor`.
   void Start(Executor* executor, Clock* clock);
   void Stop();
 
@@ -96,7 +100,9 @@ class Rebuilder {
   RebuildOptions options_;
   dht::DhtClient dht_;
   LocationIndex index_;
-  rpc::ChannelPool providers_pool_;
+  provider::ProviderClient pages_;
+  /// Where passes park while an RPC is in flight (set by Start).
+  Executor* executor_ = nullptr;
 
   mutable std::mutex stats_mu_;
   RebuildStats stats_;

@@ -4,9 +4,8 @@
 
 namespace blobseer::meta {
 
-MetaClient::MetaClient(dht::DhtClient* dht, Executor* executor,
-                       MetaClientOptions options)
-    : dht_(dht), executor_(executor), options_(options) {}
+MetaClient::MetaClient(dht::DhtClient* dht, MetaClientOptions options)
+    : dht_(dht), options_(options) {}
 
 void MetaClient::CacheInsert(const std::string& key, const MetaNode& node) {
   if (!options_.cache_enabled) return;
@@ -37,32 +36,6 @@ bool MetaClient::CacheLookup(const std::string& key, MetaNode* node) {
   lru_.splice(lru_.begin(), lru_, it->second);
   *node = it->second->second;
   return true;
-}
-
-Status MetaClient::PutNode(const NodeKey& key, const MetaNode& node) {
-  BinaryWriter w;
-  node.EncodeTo(&w);
-  std::string k = key.ToDhtKey();
-  BS_RETURN_NOT_OK(dht_->Put(Slice(k), Slice(w.buffer())));
-  CacheInsert(k, node);
-  return Status::OK();
-}
-
-Result<MetaNode> MetaClient::GetNode(const NodeKey& key) {
-  std::string k = key.ToDhtKey();
-  MetaNode node;
-  if (CacheLookup(k, &node)) return node;
-  std::string raw;
-  Status s = dht_->Get(Slice(k), &raw);
-  if (!s.ok()) return DecodeFetched(key, k, std::move(s));
-  return DecodeFetched(key, k, std::move(raw));
-}
-
-Status MetaClient::WriteNodes(
-    const std::vector<std::pair<NodeKey, MetaNode>>& nodes) {
-  return executor_->ParallelFor(
-      nodes.size(), options_.fanout,
-      [&](size_t i) { return PutNode(nodes[i].first, nodes[i].second); });
 }
 
 Future<Unit> MetaClient::PutNodeAsync(const NodeKey& key,

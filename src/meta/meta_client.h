@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/blob_descriptor.h"
-#include "common/executor.h"
 #include "common/future.h"
 #include "common/result.h"
 #include "dht/client.h"
@@ -28,8 +27,6 @@ struct MetaClientOptions {
   /// it to measure raw metadata traffic (Figure 2(a) runs cache-off).
   bool cache_enabled = true;
   size_t cache_capacity = 1 << 16;  // nodes
-  /// Parallel DHT puts per WriteNodes batch.
-  size_t fanout = 16;
 };
 
 struct MetaCacheStats {
@@ -48,18 +45,7 @@ struct LeafRef {
 
 class MetaClient {
  public:
-  MetaClient(dht::DhtClient* dht, Executor* executor,
-             MetaClientOptions options = {});
-
-  /// Stores one node (and caches it: the writer is the likeliest next
-  /// reader during subsequent border descents).
-  Status PutNode(const NodeKey& key, const MetaNode& node);
-
-  /// Fetches one node, through the cache.
-  Result<MetaNode> GetNode(const NodeKey& key);
-
-  /// Writes a batch of nodes in parallel (paper Algorithm 4, final loop).
-  Status WriteNodes(const std::vector<std::pair<NodeKey, MetaNode>>& nodes);
+  explicit MetaClient(dht::DhtClient* dht, MetaClientOptions options = {});
 
   /// Thread-safe per-operation node memo: a writer resolving several
   /// border blocks of one update descends overlapping root-to-block paths
@@ -72,15 +58,19 @@ class MetaClient {
     std::unordered_map<std::string, MetaNode> map;
   };
 
-  /// Async variants of the node and tree operations. Continuations resolve
-  /// on the DHT transport's completion context; cache hits resolve
-  /// immediately on the calling thread.
+  /// Node and tree operations. Continuations resolve on the DHT
+  /// transport's completion context; cache hits resolve immediately on the
+  /// calling thread.
+  ///
+  /// PutNodeAsync stores one node and caches it (the writer is the
+  /// likeliest next reader during subsequent border descents);
+  /// GetNodeAsync fetches one node through the cache.
   Future<Unit> PutNodeAsync(const NodeKey& key, const MetaNode& node);
   Future<MetaNode> GetNodeAsync(const NodeKey& key);
   Future<MetaNode> GetNodeMemoizedAsync(const NodeKey& key,
                                         std::shared_ptr<SharedNodeMemo> memo);
-  /// All puts are issued at once; per-endpoint pipelining bounds the real
-  /// parallelism (the sync path instead fans out `fanout`-wide).
+  /// Writes a batch of nodes (paper Algorithm 4, final loop). All puts are
+  /// issued at once; per-endpoint pipelining bounds the real parallelism.
   Future<Unit> WriteNodesAsync(
       std::vector<std::pair<NodeKey, MetaNode>> nodes);
   /// Paper Algorithm 3 (READ_META): collects every leaf of snapshot
@@ -118,7 +108,6 @@ class MetaClient {
   std::vector<Future<MetaNode>> GetNodesAsync(const std::vector<NodeKey>& keys);
 
   dht::DhtClient* dht_;
-  Executor* executor_;
   MetaClientOptions options_;
 
   mutable std::mutex cache_mu_;

@@ -11,40 +11,20 @@ ProviderManagerClient::ProviderManagerClient(rpc::Transport* transport,
       address_(std::move(address)),
       pool_(transport_, channels) {}
 
-// Reconnect-once on Unavailable for binding transports: a channel pooled
-// before a provider-manager restart stays broken, so drop it and retry on
-// a fresh connection. Register and Heartbeat are idempotent; a duplicated
-// Allocate can over-charge allocated_pages transiently, which the next
-// heartbeat's stored-page count corrects.
+// Every call reconnects once on Unavailable (rpc::CallWithReconnect*).
+// Register, Heartbeat, ReportLocations and Directory are idempotent; a
+// duplicated Allocate can over-charge allocated_pages transiently, which
+// the next heartbeat's stored-page count corrects.
 template <typename Req, typename Rsp>
 Status ProviderManagerClient::Call(rpc::Method method, const Req& req,
                                    Rsp* rsp) {
-  auto ch = pool_.Get(address_);
-  if (!ch.ok()) return ch.status();
-  Status s = rpc::CallMethod(ch->get(), method, req, rsp);
-  if (!s.IsUnavailable() || !pool_.binding()) return s;
-  pool_.Invalidate(address_);
-  ch = pool_.Get(address_);
-  if (!ch.ok()) return s;
-  *rsp = Rsp{};
-  return rpc::CallMethod(ch->get(), method, req, rsp);
+  return rpc::CallWithReconnect(&pool_, address_, method, req, rsp);
 }
 
 template <typename Req, typename Rsp>
-Future<Rsp> ProviderManagerClient::CallAsync(rpc::Method method,
-                                             const Req& req) {
-  auto ch = pool_.Get(address_);
-  if (!ch.ok()) return MakeReadyFuture<Rsp>(ch.status());
-  auto shared = std::make_shared<Req>(req);
-  return rpc::CallMethodAsync<Req, Rsp>(ch->get(), method, *shared)
-      .Then([this, method, shared](Result<Rsp> r) -> Future<Rsp> {
-        if (r.ok() || !r.status().IsUnavailable() || !pool_.binding())
-          return MakeReadyFuture<Rsp>(std::move(r));
-        pool_.Invalidate(address_);
-        auto retry = pool_.Get(address_);
-        if (!retry.ok()) return MakeReadyFuture<Rsp>(std::move(r));
-        return rpc::CallMethodAsync<Req, Rsp>(retry->get(), method, *shared);
-      });
+Future<Rsp> ProviderManagerClient::CallAsync(rpc::Method method, Req req) {
+  return rpc::CallWithReconnectAsync<Req, Rsp>(&pool_, address_, method,
+                                               std::move(req));
 }
 
 Result<ProviderId> ProviderManagerClient::Register(
@@ -62,25 +42,10 @@ Status ProviderManagerClient::Heartbeat(ProviderId id, uint64_t pages,
   return Call(rpc::Method::kPmHeartbeat, req, &rsp);
 }
 
-Result<std::vector<std::vector<ProviderId>>>
-ProviderManagerClient::AllocateReplicated(uint32_t num_pages,
-                                          uint32_t replication) {
-  AllocateRequest req{num_pages, replication};
-  AllocateResponse rsp;
-  BS_RETURN_NOT_OK(Call(rpc::Method::kPmAllocate, req, &rsp));
-  return std::move(rsp.replicas);
-}
-
-Status ProviderManagerClient::ReportLocations(
-    const ReportLocationsRequest& req) {
-  ReportLocationsResponse rsp;
-  return Call(rpc::Method::kPmReportLocations, req, &rsp);
-}
-
 Future<Unit> ProviderManagerClient::ReportLocationsAsync(
     ReportLocationsRequest req) {
   return CallAsync<ReportLocationsRequest, ReportLocationsResponse>(
-             rpc::Method::kPmReportLocations, req)
+             rpc::Method::kPmReportLocations, std::move(req))
       .Then([](Result<ReportLocationsResponse> r) -> Status {
         return r.status();
       });
@@ -112,14 +77,6 @@ Result<std::string> ProviderManagerClient::CachedAddress(ProviderId id) {
   if (it == directory_.end())
     return Status::NotFound("provider id " + std::to_string(id));
   return it->second;
-}
-
-Result<std::string> ProviderManagerClient::ResolveAddress(ProviderId id) {
-  auto cached = CachedAddress(id);
-  if (cached.ok()) return cached;
-  auto dir = FetchDirectory();
-  if (!dir.ok()) return dir.status();
-  return CachedAddress(id);
 }
 
 Future<std::string> ProviderManagerClient::ResolveAddressAsync(ProviderId id) {

@@ -28,21 +28,16 @@ class ProviderManagerClient {
   /// (primary first). Fails with Unavailable when fewer live providers than
   /// `replication` are registered. This is the only allocation surface —
   /// unreplicated callers pass replication = 1.
-  Result<std::vector<std::vector<ProviderId>>> AllocateReplicated(
+  Future<std::vector<std::vector<ProviderId>>> AllocateReplicatedAsync(
       uint32_t num_pages, uint32_t replication);
 
   /// Feeds the provider manager's location table (best-effort: the DHT
   /// entries remain authoritative, this view only drives rebuilds).
-  Status ReportLocations(const ReportLocationsRequest& req);
   Future<Unit> ReportLocationsAsync(ReportLocationsRequest req);
 
   /// Marks a provider draining and reports how many pages still reference
   /// it. Poll until `drained` before retiring the process.
   Result<DecommissionResponse> Decommission(ProviderId id);
-
-  /// Resolves a provider id to its endpoint address, refreshing the cached
-  /// directory on miss.
-  Result<std::string> ResolveAddress(ProviderId id);
 
   /// Forces a directory refresh and returns it.
   Result<std::vector<DirectoryEntry>> FetchDirectory();
@@ -52,19 +47,17 @@ class ProviderManagerClient {
   /// (tools, tests and churn harnesses).
   Result<PmStatsResponse> FetchStats();
 
-  /// Async variants used by the client pipeline; a directory cache hit
-  /// resolves the address future immediately. Concurrent misses share one
-  /// in-flight directory fetch; a failed fetch fails all of them, and the
-  /// next miss fetches again.
-  Future<std::vector<std::vector<ProviderId>>> AllocateReplicatedAsync(
-      uint32_t num_pages, uint32_t replication);
+  /// Resolves a provider id to its endpoint address; a directory cache hit
+  /// resolves immediately. Concurrent misses share one in-flight directory
+  /// fetch; a failed fetch fails all of them, and the next miss fetches
+  /// again.
   Future<std::string> ResolveAddressAsync(ProviderId id);
 
  private:
   template <typename Req, typename Rsp>
   Status Call(rpc::Method method, const Req& req, Rsp* rsp);
   template <typename Req, typename Rsp>
-  Future<Rsp> CallAsync(rpc::Method method, const Req& req);
+  Future<Rsp> CallAsync(rpc::Method method, Req req);
 
   Result<std::string> CachedAddress(ProviderId id);
   /// Completes every waiter of the in-flight directory fetch.

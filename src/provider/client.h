@@ -19,15 +19,14 @@ class ProviderClient {
  public:
   ProviderClient(rpc::Transport* transport, size_t channels_per_endpoint = 4);
 
-  Status WritePage(const std::string& address, const PageId& pid, Slice data);
-  Status ReadPage(const std::string& address, const PageId& pid,
-                  uint64_t offset, uint64_t len, std::string* out);
-  Status DeletePage(const std::string& address, const PageId& pid);
   Status Stats(const std::string& address, uint64_t* pages, uint64_t* bytes);
   /// Full store statistics, including the log-backend extension fields.
   Result<PageStoreStats> FetchStats(const std::string& address);
 
-  /// Async variants used by the client pipeline's page fan-out.
+  /// Page operations. Each reconnects once on Unavailable
+  /// (rpc::CallWithReconnectAsync): pages are immutable and deletes
+  /// tolerate repeats, so a retry is safe. ReadPageAsync with `len` 0 reads
+  /// through the end of the stored object.
   Future<Unit> WritePageAsync(const std::string& address, const PageId& pid,
                               Slice data);
   Future<std::string> ReadPageAsync(const std::string& address,

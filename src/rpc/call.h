@@ -2,11 +2,13 @@
 #ifndef BLOBSEER_RPC_CALL_H_
 #define BLOBSEER_RPC_CALL_H_
 
+#include <memory>
 #include <string>
 #include <utility>
 
 #include "common/future.h"
 #include "common/serde.h"
+#include "rpc/channel_pool.h"
 #include "rpc/transport.h"
 
 namespace blobseer::rpc {
@@ -53,6 +55,51 @@ Future<Response> CallMethodAsync(Channel* channel, Method method,
                          p.Set(std::move(rsp));
                      });
   return f;
+}
+
+// Reconnect-once on Unavailable. On a binding transport (TCP, inproc) a
+// channel pooled before an endpoint restart keeps failing even once the
+// endpoint serves again, so the helpers below drop the address's pooled
+// channels and retry once on a fresh connection. The simulated network
+// resolves endpoints per call (binds_at_connect() is false) and gets no
+// retry: its failure model must not gain hidden retries. Use these only
+// for idempotent methods.
+
+/// Sync form over Channel::Call: on simnet it runs inside the calling task.
+template <typename Request, typename Response>
+Status CallWithReconnect(ChannelPool* pool, const std::string& address,
+                         Method method, const Request& req, Response* rsp) {
+  auto ch = pool->Get(address);
+  if (!ch.ok()) return ch.status();
+  Status s = CallMethod(ch->get(), method, req, rsp);
+  if (!s.IsUnavailable() || !pool->binding()) return s;
+  pool->Invalidate(address);
+  ch = pool->Get(address);
+  if (!ch.ok()) return s;
+  *rsp = Response{};
+  return CallMethod(ch->get(), method, req, rsp);
+}
+
+/// Async form. The request is moved into one shared copy that the retry
+/// continuation reuses. `pool` must outlive the returned future.
+template <typename Request, typename Response>
+Future<Response> CallWithReconnectAsync(ChannelPool* pool,
+                                        const std::string& address,
+                                        Method method, Request req) {
+  auto ch = pool->Get(address);
+  if (!ch.ok()) return MakeReadyFuture<Response>(ch.status());
+  auto shared = std::make_shared<Request>(std::move(req));
+  return CallMethodAsync<Request, Response>(ch->get(), method, *shared)
+      .Then([pool, address, method,
+             shared](Result<Response> r) -> Future<Response> {
+        if (r.ok() || !r.status().IsUnavailable() || !pool->binding())
+          return MakeReadyFuture<Response>(std::move(r));
+        pool->Invalidate(address);
+        auto retry = pool->Get(address);
+        if (!retry.ok()) return MakeReadyFuture<Response>(std::move(r));
+        return CallMethodAsync<Request, Response>(retry->get(), method,
+                                                  *shared);
+      });
 }
 
 /// Server-side glue: decodes the payload into Request, invokes

@@ -16,16 +16,6 @@ Result<rpc::Channel*> VersionManagerClient::Chan() {
   return ch->get();
 }
 
-Result<BlobDescriptor> VersionManagerClient::CreateBlob(uint64_t psize) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  CreateBlobRequest req{psize};
-  CreateBlobResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmCreateBlob, req, &rsp));
-  return std::move(rsp.descriptor);
-}
-
 Future<BlobDescriptor> VersionManagerClient::CreateBlobAsync(uint64_t psize) {
   auto ch = Chan();
   if (!ch.ok()) return MakeReadyFuture<BlobDescriptor>(ch.status());
@@ -35,20 +25,6 @@ Future<BlobDescriptor> VersionManagerClient::CreateBlobAsync(uint64_t psize) {
         if (!rsp.ok()) return rsp.status();
         return std::move(rsp->descriptor);
       });
-}
-
-Result<BlobDescriptor> VersionManagerClient::OpenBlob(BlobId id,
-                                                      Version* published,
-                                                      uint64_t* published_size) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  OpenBlobRequest req{id};
-  OpenBlobResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmOpenBlob, req, &rsp));
-  if (published) *published = rsp.published;
-  if (published_size) *published_size = rsp.published_size;
-  return std::move(rsp.descriptor);
 }
 
 Future<OpenInfo> VersionManagerClient::OpenBlobAsync(BlobId id) {
@@ -61,19 +37,6 @@ Future<OpenInfo> VersionManagerClient::OpenBlobAsync(BlobId id) {
         return OpenInfo{std::move(rsp->descriptor), rsp->published,
                         rsp->published_size};
       });
-}
-
-Result<AssignTicket> VersionManagerClient::AssignVersion(BlobId id,
-                                                         bool is_append,
-                                                         uint64_t offset,
-                                                         uint64_t size) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  AssignRequest req{id, is_append, offset, size};
-  AssignResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmAssignVersion, req, &rsp));
-  return std::move(rsp.ticket);
 }
 
 Future<AssignTicket> VersionManagerClient::AssignVersionAsync(BlobId id,
@@ -91,14 +54,6 @@ Future<AssignTicket> VersionManagerClient::AssignVersionAsync(BlobId id,
       });
 }
 
-Status VersionManagerClient::NotifySuccess(BlobId id, Version version) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  NotifyRequest req{id, version};
-  NotifyResponse rsp;
-  return rpc::CallMethod(*ch, rpc::Method::kVmNotifySuccess, req, &rsp);
-}
-
 Future<Unit> VersionManagerClient::NotifySuccessAsync(BlobId id,
                                                       Version version) {
   auto ch = Chan();
@@ -106,17 +61,6 @@ Future<Unit> VersionManagerClient::NotifySuccessAsync(BlobId id,
   return rpc::CallMethodAsync<NotifyRequest, NotifyResponse>(
              *ch, rpc::Method::kVmNotifySuccess, NotifyRequest{id, version})
       .Then([](Result<NotifyResponse> rsp) { return rsp.status(); });
-}
-
-Result<AbortOutcome> VersionManagerClient::AbortUpdate(BlobId id,
-                                                       Version version) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  AbortRequest req{id, version};
-  AbortResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmAbortUpdate, req, &rsp));
-  return std::move(rsp.outcome);
 }
 
 Future<AbortOutcome> VersionManagerClient::AbortUpdateAsync(BlobId id,
@@ -131,16 +75,6 @@ Future<AbortOutcome> VersionManagerClient::AbortUpdateAsync(BlobId id,
       });
 }
 
-Result<RecentVersion> VersionManagerClient::GetRecent(BlobId id) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  GetRecentRequest req{id};
-  GetRecentResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmGetRecent, req, &rsp));
-  return RecentVersion{rsp.version, rsp.size};
-}
-
 Future<RecentVersion> VersionManagerClient::GetRecentAsync(BlobId id) {
   auto ch = Chan();
   if (!ch.ok()) return MakeReadyFuture<RecentVersion>(ch.status());
@@ -150,16 +84,6 @@ Future<RecentVersion> VersionManagerClient::GetRecentAsync(BlobId id) {
         if (!rsp.ok()) return rsp.status();
         return RecentVersion{rsp->version, rsp->size};
       });
-}
-
-Result<uint64_t> VersionManagerClient::GetSize(BlobId id, Version version) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  GetSizeRequest req{id, version};
-  GetSizeResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmGetSize, req, &rsp));
-  return rsp.size;
 }
 
 Future<uint64_t> VersionManagerClient::GetSizeAsync(BlobId id,
@@ -172,17 +96,6 @@ Future<uint64_t> VersionManagerClient::GetSizeAsync(BlobId id,
         if (!rsp.ok()) return rsp.status();
         return rsp->size;
       });
-}
-
-Status VersionManagerClient::AwaitPublished(BlobId id, Version version,
-                                            uint64_t timeout_us) {
-  auto ch = Chan();
-  if (!ch.ok()) return ch.status();
-  AwaitRequest req{id, version, timeout_us};
-  AwaitResponse rsp;
-  BS_RETURN_NOT_OK(
-      rpc::CallMethod(*ch, rpc::Method::kVmAwaitPublished, req, &rsp));
-  return rsp.published ? Status::OK() : Status::TimedOut("not published");
 }
 
 Future<Unit> VersionManagerClient::AwaitPublishedAsync(BlobId id,

@@ -1,5 +1,8 @@
-// Typed client for the version manager. Every method has an async variant
-// returning Future<T>; the sync form is a thin wait over the same RPC.
+// Typed client for the version manager. Every operation on the update and
+// read path is async (Future<T>); the remaining sync methods are RPCs that
+// only tools, tests and the GC sweeper issue. No call retries: an
+// AssignVersion replayed after a lost response would assign a second
+// version.
 #ifndef BLOBSEER_VMANAGER_CLIENT_H_
 #define BLOBSEER_VMANAGER_CLIENT_H_
 
@@ -25,22 +28,11 @@ class VersionManagerClient {
   VersionManagerClient(rpc::Transport* transport, std::string address,
                        size_t channels = 2);
 
-  Result<BlobDescriptor> CreateBlob(uint64_t psize);
-  Result<BlobDescriptor> OpenBlob(BlobId id, Version* published,
-                                  uint64_t* published_size);
-  Result<AssignTicket> AssignVersion(BlobId id, bool is_append,
-                                     uint64_t offset, uint64_t size);
-  Status NotifySuccess(BlobId id, Version version);
-  Result<AbortOutcome> AbortUpdate(BlobId id, Version version);
-  Result<RecentVersion> GetRecent(BlobId id);
-  Result<uint64_t> GetSize(BlobId id, Version version);
-  /// Returns OK / TimedOut like the core call.
-  Status AwaitPublished(BlobId id, Version version, uint64_t timeout_us);
+  /// Sync-only RPCs: branching, stats and the version lifecycle
+  /// (docs/lifecycle.md). The GC sweeper drives the lifecycle calls from
+  /// its own background loop.
   Result<BlobDescriptor> Branch(BlobId id, Version version);
   Result<VmStats> GetStats();
-
-  /// Version lifecycle (docs/lifecycle.md). Sync only: the GC sweeper
-  /// drives these from its own background loop.
   Status SetRetention(BlobId id, const lifecycle::RetentionPolicy& policy);
   Result<lifecycle::RetentionPolicy> GetRetention(BlobId id);
   Result<std::vector<VersionInfo>> ListVersions(BlobId id);
@@ -54,6 +46,12 @@ class VersionManagerClient {
   Future<Unit> NotifySuccessAsync(BlobId id, Version version);
   Future<AbortOutcome> AbortUpdateAsync(BlobId id, Version version);
   Future<RecentVersion> GetRecentAsync(BlobId id);
+  /// GetRecentAsync waited on the calling thread (a real thread, not a
+  /// simnet task). The one sync wrapper left: the repository benchmark
+  /// (perfbench/) sums blob sizes through it and is kept unchanged.
+  Result<RecentVersion> GetRecent(BlobId id) {
+    return GetRecentAsync(id).Wait();
+  }
   Future<uint64_t> GetSizeAsync(BlobId id, Version version);
   /// Resolves OK once published, TimedOut after `timeout_us` (server-push:
   /// the server parks a subscription and answers from the publisher, so no

@@ -147,12 +147,14 @@ TEST_F(DhtClientTest, PutGetAcrossNodes) {
   DhtClient client(&net_, addresses_);
   for (int i = 0; i < 200; i++) {
     std::string k = "key" + std::to_string(i);
-    ASSERT_TRUE(client.Put(Slice(k), Slice("value" + std::to_string(i))).ok());
+    ASSERT_TRUE(client.PutAsync(Slice(k), Slice("value" + std::to_string(i)))
+                    .Wait()
+                    .ok());
   }
   for (int i = 0; i < 200; i++) {
-    std::string v;
-    ASSERT_TRUE(client.Get(Slice("key" + std::to_string(i)), &v).ok());
-    EXPECT_EQ(v, "value" + std::to_string(i));
+    auto v = client.GetAsync(Slice("key" + std::to_string(i))).Wait();
+    ASSERT_TRUE(v.ok());
+    EXPECT_EQ(*v, "value" + std::to_string(i));
   }
   // Keys actually spread across nodes.
   int populated = 0;
@@ -164,8 +166,7 @@ TEST_F(DhtClientTest, PutGetAcrossNodes) {
 
 TEST_F(DhtClientTest, MissingKeyIsNotFound) {
   DhtClient client(&net_, addresses_);
-  std::string v;
-  EXPECT_TRUE(client.Get(Slice("nope"), &v).IsNotFound());
+  EXPECT_TRUE(client.GetAsync(Slice("nope")).Wait().status().IsNotFound());
 }
 
 TEST_F(DhtClientTest, ReplicationSurvivesPrimaryLoss) {
@@ -175,14 +176,14 @@ TEST_F(DhtClientTest, ReplicationSurvivesPrimaryLoss) {
   std::vector<std::string> keys;
   for (int i = 0; i < 100; i++) {
     keys.push_back("rk" + std::to_string(i));
-    ASSERT_TRUE(client.Put(Slice(keys.back()), Slice("v")).ok());
+    ASSERT_TRUE(client.PutAsync(Slice(keys.back()), Slice("v")).Wait().ok());
   }
   // Kill one node: every key must remain readable via its replica.
   ASSERT_TRUE(net_.StopServing(addresses_[1]).ok());
   for (const auto& k : keys) {
-    std::string v;
-    ASSERT_TRUE(client.Get(Slice(k), &v).ok()) << "lost key " << k;
-    EXPECT_EQ(v, "v");
+    auto v = client.GetAsync(Slice(k)).Wait();
+    ASSERT_TRUE(v.ok()) << "lost key " << k;
+    EXPECT_EQ(*v, "v");
   }
 }
 
@@ -195,17 +196,18 @@ TEST_F(DhtClientTest, WithoutReplicationLossIsVisible) {
     if (placement.NodeFor(Slice(k)) == 2) victim_key = k;
   }
   ASSERT_FALSE(victim_key.empty());
-  ASSERT_TRUE(client.Put(Slice(victim_key), Slice("v")).ok());
+  ASSERT_TRUE(client.PutAsync(Slice(victim_key), Slice("v")).Wait().ok());
   ASSERT_TRUE(net_.StopServing(addresses_[2]).ok());
-  std::string v;
-  EXPECT_FALSE(client.Get(Slice(victim_key), &v).ok());
+  EXPECT_FALSE(client.GetAsync(Slice(victim_key)).Wait().ok());
 }
 
 TEST_F(DhtClientTest, TotalStatsAggregates) {
   DhtClient client(&net_, addresses_);
   for (int i = 0; i < 50; i++) {
     ASSERT_TRUE(
-        client.Put(Slice("sk" + std::to_string(i)), Slice("0123456789")).ok());
+        client.PutAsync(Slice("sk" + std::to_string(i)), Slice("0123456789"))
+            .Wait()
+            .ok());
   }
   uint64_t keys, bytes;
   ASSERT_TRUE(client.TotalStats(&keys, &bytes).ok());
@@ -274,7 +276,9 @@ TEST_F(MultiGetTest, OneCallPerNodeAndInputOrderKept) {
   std::vector<std::string> keys;
   for (int i = 0; i < 64; i++) {
     keys.push_back("mk" + std::to_string(i));
-    ASSERT_TRUE(client.Put(Slice(keys.back()), Slice("v" + keys.back())).ok());
+    ASSERT_TRUE(client.PutAsync(Slice(keys.back()), Slice("v" + keys.back()))
+                    .Wait()
+                    .ok());
   }
   // The keys land on every node.
   StaticPlacement placement(addresses_.size());
@@ -298,7 +302,7 @@ TEST_F(MultiGetTest, OneCallPerNodeAndInputOrderKept) {
 
 TEST_F(MultiGetTest, MissingKeysAreNotFound) {
   DhtClient client(&net_, addresses_);
-  ASSERT_TRUE(client.Put(Slice("present"), Slice("p")).ok());
+  ASSERT_TRUE(client.PutAsync(Slice("present"), Slice("p")).Wait().ok());
   auto got = WaitAll(client.MultiGetAsync({"absent-1", "present", "absent-2"}));
   ASSERT_EQ(got.size(), 3u);
   EXPECT_TRUE(got[0].status().IsNotFound());
@@ -314,7 +318,8 @@ TEST_F(MultiGetTest, ReplicatedKeysFallBackWhenPrimaryStops) {
   std::vector<std::string> keys;
   for (int i = 0; i < 100; i++) {
     keys.push_back("rk" + std::to_string(i));
-    ASSERT_TRUE(client.Put(Slice(keys.back()), Slice(keys.back())).ok());
+    ASSERT_TRUE(
+        client.PutAsync(Slice(keys.back()), Slice(keys.back())).Wait().ok());
   }
   ASSERT_TRUE(net_.StopServing(addresses_[1]).ok());
   auto got = WaitAll(client.MultiGetAsync(keys));
@@ -336,7 +341,8 @@ TEST_F(MultiGetTest, ReplicatedKeysFallBackWhenPrimaryMissesThem) {
     keys.push_back("sk" + std::to_string(i));
     size_t second = placement.ReplicaNodes(Slice(keys.back()), 2)[1];
     DhtClient direct(&net_, {addresses_[second]});
-    ASSERT_TRUE(direct.Put(Slice(keys.back()), Slice("second")).ok());
+    ASSERT_TRUE(
+        direct.PutAsync(Slice(keys.back()), Slice("second")).Wait().ok());
   }
   auto got = WaitAll(client.MultiGetAsync(keys));
   for (size_t i = 0; i < keys.size(); i++) {
@@ -364,7 +370,8 @@ TEST(MultiGetTcpTest, ConcurrentBatchesAcrossNodes) {
   std::vector<std::string> keys;
   for (int i = 0; i < 64; i++) {
     keys.push_back("tk" + std::to_string(i));
-    ASSERT_TRUE(client.Put(Slice(keys.back()), Slice(keys.back())).ok());
+    ASSERT_TRUE(
+        client.PutAsync(Slice(keys.back()), Slice(keys.back())).Wait().ok());
   }
   auto check = [&] {
     std::vector<Future<std::vector<Result<std::string>>>> rounds;

@@ -183,7 +183,7 @@ TEST_F(LifecycleRpcTest, DiscardRules) {
 
   // Discarded snapshots stop being readable immediately (before any GC
   // pass): size queries and reads observe NotFound.
-  EXPECT_TRUE(vm_->GetSize(*id, 1).status().IsNotFound());
+  EXPECT_TRUE(vm_->GetSizeAsync(*id, 1).Wait().status().IsNotFound());
   std::string out;
   EXPECT_TRUE(blob.Read(1, 0, 4096, &out).IsNotFound());
   // v2 still reads the pages v1 appended: discard hides the snapshot, the

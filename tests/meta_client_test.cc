@@ -28,7 +28,7 @@ class MetaClientTest : public ::testing::Test {
     MetaClientOptions opts;
     opts.cache_enabled = cache;
     opts.cache_capacity = capacity;
-    return MetaClient(dht_.get(), &executor_, opts);
+    return MetaClient(dht_.get(), opts);
   }
 
   Result<std::vector<LeafRef>> ReadMeta(MetaClient& mc,
@@ -51,15 +51,19 @@ class MetaClientTest : public ::testing::Test {
 
   // Writes the 4-page tree of paper Figure 1(a): version 1, psize 1.
   void WriteFigure1aTree(MetaClient* mc) {
-    ASSERT_TRUE(mc->PutNode(NodeKey{1, 1, {0, 4}}, MetaNode::Inner(1, 1)).ok());
-    ASSERT_TRUE(mc->PutNode(NodeKey{1, 1, {0, 2}}, MetaNode::Inner(1, 1)).ok());
-    ASSERT_TRUE(mc->PutNode(NodeKey{1, 1, {2, 2}}, MetaNode::Inner(1, 1)).ok());
+    ASSERT_TRUE(mc->PutNodeAsync(NodeKey{1, 1, {0, 4}}, MetaNode::Inner(1, 1))
+                    .Wait()
+                    .ok());
+    ASSERT_TRUE(mc->PutNodeAsync(NodeKey{1, 1, {0, 2}}, MetaNode::Inner(1, 1))
+                    .Wait()
+                    .ok());
+    ASSERT_TRUE(mc->PutNodeAsync(NodeKey{1, 1, {2, 2}}, MetaNode::Inner(1, 1))
+                    .Wait()
+                    .ok());
     for (uint64_t p = 0; p < 4; p++) {
-      ASSERT_TRUE(
-          mc->PutNode(NodeKey{1, 1, {p, 1}},
-                      MetaNode::Leaf({PageFragment{PageId{1, p + 1}, {0}, 0, 1, 0}},
-                                     kNoVersion, 1))
-              .ok());
+      MetaNode leaf = MetaNode::Leaf({PageFragment{PageId{1, p + 1}, 0, 1, 0}},
+                                     kNoVersion, 1);
+      ASSERT_TRUE(mc->PutNodeAsync(NodeKey{1, 1, {p, 1}}, leaf).Wait().ok());
     }
   }
 
@@ -73,30 +77,33 @@ TEST_F(MetaClientTest, PutGetRoundTrip) {
   MetaClient mc = NewClient();
   NodeKey key{7, 3, Extent{64, 64}};
   MetaNode node = MetaNode::Inner(2, kNoVersion);
-  ASSERT_TRUE(mc.PutNode(key, node).ok());
-  auto got = mc.GetNode(key);
+  ASSERT_TRUE(mc.PutNodeAsync(key, node).Wait().ok());
+  auto got = mc.GetNodeAsync(key).Wait();
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(got->left_version, 2u);
   EXPECT_EQ(got->right_version, kNoVersion);
-  EXPECT_TRUE(mc.GetNode(NodeKey{7, 4, Extent{64, 64}}).status().IsNotFound());
+  EXPECT_TRUE(mc.GetNodeAsync(NodeKey{7, 4, Extent{64, 64}})
+                  .Wait()
+                  .status()
+                  .IsNotFound());
 }
 
 TEST_F(MetaClientTest, CacheServesRepeatReadsAndInvalidates) {
   MetaClient mc = NewClient();
   NodeKey key{1, 1, Extent{0, 8}};
-  ASSERT_TRUE(mc.PutNode(key, MetaNode::Inner(1, 1)).ok());
+  ASSERT_TRUE(mc.PutNodeAsync(key, MetaNode::Inner(1, 1)).Wait().ok());
   // PutNode seeds the cache: this read must hit.
-  ASSERT_TRUE(mc.GetNode(key).ok());
+  ASSERT_TRUE(mc.GetNodeAsync(key).Wait().ok());
   MetaCacheStats st = mc.GetCacheStats();
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 0u);
   mc.InvalidateCache();
-  ASSERT_TRUE(mc.GetNode(key).ok());
+  ASSERT_TRUE(mc.GetNodeAsync(key).Wait().ok());
   st = mc.GetCacheStats();
   EXPECT_EQ(st.hits, 1u);
   EXPECT_EQ(st.misses, 1u);
   // And the re-fetch repopulated it.
-  ASSERT_TRUE(mc.GetNode(key).ok());
+  ASSERT_TRUE(mc.GetNodeAsync(key).Wait().ok());
   EXPECT_EQ(mc.GetCacheStats().hits, 2u);
 }
 
@@ -104,20 +111,21 @@ TEST_F(MetaClientTest, CacheEvictsAtCapacity) {
   MetaClient mc = NewClient(true, /*capacity=*/4);
   for (uint64_t i = 0; i < 16; i++) {
     ASSERT_TRUE(
-        mc.PutNode(NodeKey{1, i + 1, Extent{0, 2}}, MetaNode::Inner(1, 1))
+        mc.PutNodeAsync(NodeKey{1, i + 1, Extent{0, 2}}, MetaNode::Inner(1, 1))
+            .Wait()
             .ok());
   }
   // Oldest entries evicted: reading version 1 must miss.
-  ASSERT_TRUE(mc.GetNode(NodeKey{1, 1, Extent{0, 2}}).ok());
+  ASSERT_TRUE(mc.GetNodeAsync(NodeKey{1, 1, Extent{0, 2}}).Wait().ok());
   EXPECT_GE(mc.GetCacheStats().misses, 1u);
 }
 
 TEST_F(MetaClientTest, DisabledCacheAlwaysFetches) {
   MetaClient mc = NewClient(false);
   NodeKey key{1, 1, Extent{0, 2}};
-  ASSERT_TRUE(mc.PutNode(key, MetaNode::Inner(1, 1)).ok());
-  ASSERT_TRUE(mc.GetNode(key).ok());
-  ASSERT_TRUE(mc.GetNode(key).ok());
+  ASSERT_TRUE(mc.PutNodeAsync(key, MetaNode::Inner(1, 1)).Wait().ok());
+  ASSERT_TRUE(mc.GetNodeAsync(key).Wait().ok());
+  ASSERT_TRUE(mc.GetNodeAsync(key).Wait().ok());
   MetaCacheStats st = mc.GetCacheStats();
   EXPECT_EQ(st.hits, 0u);
   EXPECT_EQ(st.puts, 0u);
@@ -146,12 +154,20 @@ TEST_F(MetaClientTest, ReadMetaDetectsHolesAndTypeMismatches) {
   // Root whose right child is a hole, but blob_size says 4 pages: reading
   // the right half must report corruption.
   ASSERT_TRUE(
-      mc.PutNode(NodeKey{1, 1, {0, 4}}, MetaNode::Inner(1, kNoVersion)).ok());
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 1, {0, 2}}, MetaNode::Inner(1, 1)).ok());
+      mc.PutNodeAsync(NodeKey{1, 1, {0, 4}}, MetaNode::Inner(1, kNoVersion))
+          .Wait()
+          .ok());
+  ASSERT_TRUE(mc.PutNodeAsync(NodeKey{1, 1, {0, 2}}, MetaNode::Inner(1, 1))
+                  .Wait()
+                  .ok());
   EXPECT_TRUE(ReadMeta(mc, anc, 1, 4, Extent{2, 2}).status().IsCorruption());
   // Inner node stored where a leaf must live.
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 1, {0, 1}}, MetaNode::Inner(1, 1)).ok());
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 1, {1, 1}}, MetaNode::Inner(1, 1)).ok());
+  ASSERT_TRUE(mc.PutNodeAsync(NodeKey{1, 1, {0, 1}}, MetaNode::Inner(1, 1))
+                  .Wait()
+                  .ok());
+  ASSERT_TRUE(mc.PutNodeAsync(NodeKey{1, 1, {1, 1}}, MetaNode::Inner(1, 1))
+                  .Wait()
+                  .ok());
   EXPECT_TRUE(ReadMeta(mc, anc, 1, 4, Extent{0, 1}).status().IsCorruption());
 }
 
@@ -159,9 +175,15 @@ TEST_F(MetaClientTest, ResolveBlockVersionWalksToTheLabel) {
   MetaClient mc = NewClient();
   // Figure 1(b): version 2 overwrote pages 1-2 of the 4-page version 1.
   WriteFigure1aTree(&mc);
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 2, {0, 4}}, MetaNode::Inner(2, 2)).ok());
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 2, {0, 2}}, MetaNode::Inner(1, 2)).ok());
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 2, {2, 2}}, MetaNode::Inner(2, 1)).ok());
+  ASSERT_TRUE(mc.PutNodeAsync(NodeKey{1, 2, {0, 4}}, MetaNode::Inner(2, 2))
+                  .Wait()
+                  .ok());
+  ASSERT_TRUE(mc.PutNodeAsync(NodeKey{1, 2, {0, 2}}, MetaNode::Inner(1, 2))
+                  .Wait()
+                  .ok());
+  ASSERT_TRUE(mc.PutNodeAsync(NodeKey{1, 2, {2, 2}}, MetaNode::Inner(2, 1))
+                  .Wait()
+                  .ok());
 
   BranchAncestry anc({{1, kMaxVersion}});
   // Published root of v2: label of (0,4) is 2; page 0's leaf label is 1
@@ -221,12 +243,12 @@ TEST_F(MetaClientTest, WriteNodesBatchIsAtomicPerNode) {
   std::vector<std::pair<NodeKey, MetaNode>> nodes;
   for (uint64_t i = 0; i < 50; i++) {
     nodes.emplace_back(NodeKey{9, 1, Extent{i, 1}},
-                       MetaNode::Leaf({PageFragment{PageId{9, i}, {0}, 0, 1, 0}},
+                       MetaNode::Leaf({PageFragment{PageId{9, i}, 0, 1, 0}},
                                       kNoVersion, 1));
   }
-  ASSERT_TRUE(mc.WriteNodes(nodes).ok());
+  ASSERT_TRUE(mc.WriteNodesAsync(nodes).Wait().ok());
   for (uint64_t i = 0; i < 50; i++) {
-    auto got = mc.GetNode(NodeKey{9, 1, Extent{i, 1}});
+    auto got = mc.GetNodeAsync(NodeKey{9, 1, Extent{i, 1}}).Wait();
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(got->fragments[0].pid, (PageId{9, i}));
   }
@@ -236,8 +258,12 @@ TEST_F(MetaClientTest, BranchAncestryRoutesVersionsToOrigins) {
   // Blob 2 branched from blob 1 at version 3: nodes of versions <= 3 are
   // keyed by origin blob 1.
   MetaClient mc = NewClient();
-  ASSERT_TRUE(mc.PutNode(NodeKey{1, 2, {0, 2}}, MetaNode::Inner(2, 2)).ok());
-  ASSERT_TRUE(mc.PutNode(NodeKey{2, 4, {0, 2}}, MetaNode::Inner(4, 2)).ok());
+  ASSERT_TRUE(mc.PutNodeAsync(NodeKey{1, 2, {0, 2}}, MetaNode::Inner(2, 2))
+                  .Wait()
+                  .ok());
+  ASSERT_TRUE(mc.PutNodeAsync(NodeKey{2, 4, {0, 2}}, MetaNode::Inner(4, 2))
+                  .Wait()
+                  .ok());
   BranchAncestry anc({{1, 3}, {2, kMaxVersion}});
   EXPECT_EQ(anc.Resolve(2), 1u);
   EXPECT_EQ(anc.Resolve(3), 1u);

@@ -32,8 +32,8 @@ TEST(MetaNodeTest, InnerRoundTrip) {
 
 TEST(MetaNodeTest, LeafRoundTrip) {
   MetaNode n = MetaNode::Leaf(
-      {PageFragment{PageId{10, 20}, {}, 100, 28, 4},
-       PageFragment{PageId{11, 21}, {}, 0, 100, 0}},
+      {PageFragment{PageId{10, 20}, 100, 28, 4},
+       PageFragment{PageId{11, 21}, 0, 100, 0}},
       7, 3);
   BinaryWriter w;
   n.EncodeTo(&w);
@@ -58,7 +58,7 @@ TEST(MetaNodeTest, CorruptTypeRejected) {
 }
 
 TEST(MetaNodeTest, TruncatedLeafRejected) {
-  MetaNode n = MetaNode::Leaf({PageFragment{PageId{1, 1}, {}, 0, 8, 0}},
+  MetaNode n = MetaNode::Leaf({PageFragment{PageId{1, 1}, 0, 8, 0}},
                               kNoVersion, 1);
   BinaryWriter w;
   n.EncodeTo(&w);

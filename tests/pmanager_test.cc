@@ -174,28 +174,29 @@ TEST_F(PmServiceTest, RegisterAssignsStableIds) {
 }
 
 TEST_F(PmServiceTest, AllocateWithoutProvidersFails) {
-  EXPECT_TRUE(client_->AllocateReplicated(3, 1).status().IsUnavailable());
+  EXPECT_TRUE(
+      client_->AllocateReplicatedAsync(3, 1).Wait().status().IsUnavailable());
 }
 
 TEST_F(PmServiceTest, AllocateAndResolve) {
   ASSERT_TRUE(client_->Register("inproc://prov-a", 0).ok());
   ASSERT_TRUE(client_->Register("inproc://prov-b", 0).ok());
-  auto sets = client_->AllocateReplicated(4, 1);
+  auto sets = client_->AllocateReplicatedAsync(4, 1).Wait();
   ASSERT_TRUE(sets.ok());
   ASSERT_EQ(sets->size(), 4u);
   for (const auto& set : *sets) {
     ASSERT_EQ(set.size(), 1u);
-    auto addr = client_->ResolveAddress(set[0]);
+    auto addr = client_->ResolveAddressAsync(set[0]).Wait();
     ASSERT_TRUE(addr.ok());
     EXPECT_TRUE(addr->find("inproc://prov-") == 0);
   }
-  EXPECT_TRUE(client_->ResolveAddress(42).status().IsNotFound());
+  EXPECT_TRUE(client_->ResolveAddressAsync(42).Wait().status().IsNotFound());
 }
 
 TEST_F(PmServiceTest, HeartbeatOverridesLoadEstimate) {
   auto id = client_->Register("inproc://prov-a", 0);
   ASSERT_TRUE(id.ok());
-  ASSERT_TRUE(client_->AllocateReplicated(10, 1).ok());
+  ASSERT_TRUE(client_->AllocateReplicatedAsync(10, 1).Wait().ok());
   ASSERT_TRUE(client_->Heartbeat(*id, 3, 4096).ok());
   auto recs = svc_->Records();
   ASSERT_EQ(recs.size(), 1u);
@@ -205,7 +206,10 @@ TEST_F(PmServiceTest, HeartbeatOverridesLoadEstimate) {
 
 TEST_F(PmServiceTest, ZeroPageAllocationRejected) {
   ASSERT_TRUE(client_->Register("inproc://prov-a", 0).ok());
-  EXPECT_TRUE(client_->AllocateReplicated(0, 1).status().IsInvalidArgument());
+  EXPECT_TRUE(client_->AllocateReplicatedAsync(0, 1)
+                  .Wait()
+                  .status()
+                  .IsInvalidArgument());
 }
 
 // Forwards every call to the cluster's provider manager, counting directory

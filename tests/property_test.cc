@@ -194,7 +194,7 @@ TEST_P(LivenessPropertyTest, RandomBeatsAndClockAdvancesMatchReference) {
           if (expected(i) != pmanager::Liveness::kDead) nondead++;
         }
         auto sets =
-            client.AllocateReplicated(1 + rng.Uniform(4), r);
+            client.AllocateReplicatedAsync(1 + rng.Uniform(4), r).Wait();
         if (nondead < r) {
           // Not even the suspect fallback can reach r distinct providers.
           EXPECT_TRUE(sets.status().IsUnavailable()) << "op " << op;

@@ -1,9 +1,9 @@
 // Detector-triggered re-replication under churn, on both harnesses: kill a
 // provider and the rebuilder restores r on different live providers (virtual
 // time and real clock); a joining provider picks up existing load; a
-// decommissioned provider drains with zero failed reads; pre-v3 metadata
-// reads seed location entries; and a client whose location cache went stale
-// behind a rebuilder move refreshes instead of failing.
+// decommissioned provider drains with zero failed reads; a read over forged
+// pre-v3 metadata fails with Corruption; and a client whose location cache
+// went stale behind a rebuilder move refreshes instead of failing.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -283,9 +283,9 @@ TEST(RereplicationEmbeddedTest, JoinRebalancePullsPagesOntoNewProvider) {
   ExpectAllVersionsReadable(&blob2, ref);
 }
 
-// --- Upgrade: pre-v3 metadata reads seed the location index ----------------
+// --- Pre-v3 metadata is corrupt, not an upgrade path ------------------------
 
-TEST(RereplicationUpgradeTest, V2MetadataReadSeedsLocationEntries) {
+TEST(RereplicationUpgradeTest, V2MetadataReadFailsWithCorruption) {
   core::ClusterOptions opts;
   opts.num_providers = 3;
   opts.num_meta = 2;
@@ -303,32 +303,30 @@ TEST(RereplicationUpgradeTest, V2MetadataReadSeedsLocationEntries) {
   const Version v = recent->version;
   ASSERT_EQ(recent->size, 64u * 4);
 
-  // Regress the blob to the pre-indirection state: rewrite every leaf in
-  // wire format v2 with the replica set embedded, and delete the location
-  // entries — exactly what a store upgraded in place would look like.
+  // Forge the pre-indirection state: rewrite every leaf in wire format v2
+  // with the replica set embedded, and delete the location entries.
   dht::DhtClient dht((*cluster)->transport(), (*cluster)->dht_addresses());
   std::vector<PageId> pids;
   for (uint64_t p = 0; p < 4; p++) {
     meta::NodeKey key{*id, v, Extent{p * 64, 64}};
-    std::string bytes;
-    ASSERT_TRUE(dht.Get(Slice(key.ToDhtKey()), &bytes).ok());
+    auto bytes = dht.GetAsync(Slice(key.ToDhtKey())).Wait();
+    ASSERT_TRUE(bytes.ok());
     meta::MetaNode node;
-    BinaryReader nr{Slice(bytes)};
+    BinaryReader nr{Slice(*bytes)};
     ASSERT_TRUE(node.DecodeFrom(&nr).ok());
     ASSERT_TRUE(node.is_leaf());
     ASSERT_EQ(node.fragments.size(), 1u);
     const meta::PageFragment& frag = node.fragments[0];
-    ASSERT_TRUE(frag.legacy_providers.empty());  // v3 stores only the pid
 
-    std::string lbytes;
-    ASSERT_TRUE(dht.Get(Slice(locator::LocationKey(frag.pid)), &lbytes).ok());
+    auto lbytes = dht.GetAsync(Slice(locator::LocationKey(frag.pid))).Wait();
+    ASSERT_TRUE(lbytes.ok());
     locator::LocationEntry entry;
-    BinaryReader lr{Slice(lbytes)};
+    BinaryReader lr{Slice(*lbytes)};
     ASSERT_TRUE(entry.DecodeFrom(&lr).ok());
     ASSERT_EQ(entry.providers.size(), 2u);
 
     BinaryWriter w;
-    w.PutU8(meta::kNodeFormatV2);
+    w.PutU8(2);  // retired v2 format marker
     w.PutU8(1);  // type = leaf
     w.PutU64(node.prev_version);
     w.PutU32(node.chain_len);
@@ -339,27 +337,27 @@ TEST(RereplicationUpgradeTest, V2MetadataReadSeedsLocationEntries) {
     w.PutU32(static_cast<uint32_t>(frag.page_off));
     w.PutU32(static_cast<uint32_t>(frag.len));
     w.PutU32(static_cast<uint32_t>(frag.data_off));
-    ASSERT_TRUE(dht.Put(Slice(key.ToDhtKey()), Slice(w.buffer())).ok());
-    ASSERT_TRUE(dht.Delete(Slice(locator::LocationKey(frag.pid))).ok());
+    ASSERT_TRUE(
+        dht.PutAsync(Slice(key.ToDhtKey()), Slice(w.buffer())).Wait().ok());
+    ASSERT_TRUE(
+        dht.DeleteAsync(Slice(locator::LocationKey(frag.pid))).Wait().ok());
     pids.push_back(frag.pid);
   }
 
-  // A fresh client reads the v2 blob: every page resolves NotFound in the
-  // location index, falls back to the embedded set, and seeds an entry.
+  // A fresh client reading the forged blob gets Corruption and no bytes.
   auto reader = (*cluster)->NewClient();
   ASSERT_TRUE(reader.ok());
   Blob blob2(reader->get(), *id);
   std::string out;
-  ASSERT_TRUE(blob2.Read(v, 0, ref.Size(v), &out).ok());
-  EXPECT_EQ(out, ref.Contents(v));
-  EXPECT_EQ((*reader)->GetStats().location_seeds, 4u);
-  EXPECT_EQ((*reader)->locator().GetStats().seeds, 4u);
-  EXPECT_EQ((*reader)->GetStats().failover_reads, 0u);
-
-  // The seeds are durable: the entries are back in the DHT for everyone.
+  Status st = blob2.Read(v, 0, ref.Size(v), &out);
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_TRUE(out.empty());
+  // Nothing seeds location entries from the forged leaves.
   for (const PageId& pid : pids) {
-    std::string lbytes;
-    EXPECT_TRUE(dht.Get(Slice(locator::LocationKey(pid)), &lbytes).ok())
+    EXPECT_TRUE(dht.GetAsync(Slice(locator::LocationKey(pid)))
+                    .Wait()
+                    .status()
+                    .IsNotFound())
         << pid.ToString();
   }
 }

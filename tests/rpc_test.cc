@@ -507,5 +507,82 @@ TEST(TypedCallTest, MalformedPayloadIsCorruption) {
   EXPECT_TRUE(svc.Handle(Method::kDhtPut, Slice("xx"), &out).IsCorruption());
 }
 
+// Reconnect-once helpers: a channel pooled before an endpoint restart is
+// stale on a binding transport; the helpers drop it and retry once.
+class CountingPingService : public ServiceHandler {
+ public:
+  Status Handle(Method method, Slice payload, std::string* response) override {
+    calls_.fetch_add(1);
+    return typed_.Handle(method, payload, response);
+  }
+  int calls() const { return calls_.load(); }
+
+ private:
+  TypedService typed_;
+  std::atomic<int> calls_{0};
+};
+
+// In-process network that resolves endpoints like simnet does, i.e. opts
+// out of reconnects.
+class NonBindingNetwork : public InProcNetwork {
+ public:
+  bool binds_at_connect() const override { return false; }
+};
+
+// Pools one channel to `address`, then restarts the endpoint under it.
+// Returns the restarted service.
+std::shared_ptr<CountingPingService> RestartUnderPool(
+    InProcNetwork* net, ChannelPool* pool, const std::string& address) {
+  EXPECT_TRUE(pool->Get(address).ok());
+  EXPECT_TRUE(net->StopServing(address).ok());
+  auto restarted = std::make_shared<CountingPingService>();
+  EXPECT_TRUE(net->Serve(address, restarted).ok());
+  return restarted;
+}
+
+TEST(ReconnectTest, StaleChannelReconnectsOnceAfterRestart) {
+  const std::string addr = "inproc://ping";
+  InProcNetwork net;
+  ASSERT_TRUE(net.Serve(addr, std::make_shared<CountingPingService>()).ok());
+  ChannelPool pool(&net, 1);
+  auto restarted = RestartUnderPool(&net, &pool, addr);
+  // The pooled channel is stale: called directly, it fails.
+  auto stale = pool.Get(addr);
+  ASSERT_TRUE(stale.ok());
+  PingMsg rsp;
+  EXPECT_TRUE(CallMethod(stale->get(), Method::kDhtPut, PingMsg{1}, &rsp)
+                  .IsUnavailable());
+
+  ASSERT_TRUE(
+      CallWithReconnect(&pool, addr, Method::kDhtPut, PingMsg{1}, &rsp).ok());
+  EXPECT_EQ(rsp.value, 2u);
+  EXPECT_EQ(restarted->calls(), 1);
+
+  restarted = RestartUnderPool(&net, &pool, addr);
+  auto r = CallWithReconnectAsync<PingMsg, PingMsg>(&pool, addr,
+                                                    Method::kDhtPut, PingMsg{5})
+               .Wait();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->value, 6u);
+  EXPECT_EQ(restarted->calls(), 1);
+}
+
+TEST(ReconnectTest, NonBindingTransportGetsNoRetry) {
+  const std::string addr = "inproc://ping";
+  NonBindingNetwork net;
+  ASSERT_TRUE(net.Serve(addr, std::make_shared<CountingPingService>()).ok());
+  ChannelPool pool(&net, 1);
+  auto restarted = RestartUnderPool(&net, &pool, addr);
+
+  PingMsg rsp;
+  EXPECT_TRUE(CallWithReconnect(&pool, addr, Method::kDhtPut, PingMsg{1}, &rsp)
+                  .IsUnavailable());
+  auto r = CallWithReconnectAsync<PingMsg, PingMsg>(&pool, addr,
+                                                    Method::kDhtPut, PingMsg{1})
+               .Wait();
+  EXPECT_TRUE(r.status().IsUnavailable());
+  EXPECT_EQ(restarted->calls(), 0);
+}
+
 }  // namespace
 }  // namespace blobseer::rpc
