@@ -75,7 +75,7 @@ Result<std::unique_ptr<EmbeddedCluster>> EmbeddedCluster::Start(
   }
 
   for (size_t i = 0; i < options.num_meta; i++) {
-    auto svc = std::make_shared<dht::DhtService>(options.dht_shards);
+    auto svc = std::make_shared<dht::DhtService>();
     auto addr =
         c->transport_->Serve(bind_addr(StrFormat("meta-%zu", i)), svc);
     if (!addr.ok()) return addr.status();
@@ -111,7 +111,6 @@ Result<std::unique_ptr<EmbeddedCluster>> EmbeddedCluster::Start(
     locator::RebuildOptions ro;
     ro.interval_us = options.rebuild_interval_us;
     ro.max_moves_per_pass = options.rebuild_max_moves;
-    ro.rebalance = options.rebuild_rebalance;
     // Default DhtClientOptions: the rebuilder's CAS placement must match
     // the clients', which also run defaults (placement is positional over
     // the same node list).

@@ -50,12 +50,11 @@ struct ClusterOptions {
   uint64_t dead_after_us = 0;
   /// Background re-replication: when `rebuild_interval_us` > 0 the provider
   /// manager runs a rebuilder pass every interval that copies pages off
-  /// dead/draining providers onto live ones (and, with `rebuild_rebalance`,
-  /// evens page counts after a join). Requires heartbeats for dead
-  /// detection. See docs/page_locations.md.
+  /// dead/draining providers onto live ones and evens page counts after a
+  /// join. Requires heartbeats for dead detection. See
+  /// docs/page_locations.md.
   uint64_t rebuild_interval_us = 0;
   size_t rebuild_max_moves = 64;
-  bool rebuild_rebalance = true;
   /// Version-lifecycle GC (docs/lifecycle.md): when `gc_interval_us` > 0
   /// the provider manager hosts a GcSweeper that evaluates retention
   /// policies and mark-and-sweeps discarded versions every interval. With
@@ -76,7 +75,6 @@ struct ClusterOptions {
   /// to psync with a logged note).
   std::string io_backend;
   uint64_t provider_capacity_pages = 0;  // 0 = unbounded
-  size_t dht_shards = 16;
 };
 
 class EmbeddedCluster {

@@ -60,7 +60,6 @@ struct SimClusterOptions {
   /// pages off dead/draining providers (docs/page_locations.md).
   uint64_t rebuild_interval_us = 0;
   size_t rebuild_max_moves = 64;
-  bool rebuild_rebalance = true;
   /// Version-lifecycle GC in virtual time (0 = disabled): the provider
   /// manager hosts a GcSweeper pass every `gc_interval_us`, evaluating
   /// retention policies and sweeping discarded versions

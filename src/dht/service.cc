@@ -5,8 +5,6 @@
 
 namespace blobseer::dht {
 
-DhtService::DhtService(size_t shards) : store_(shards) {}
-
 Status DhtService::Handle(rpc::Method method, Slice payload,
                           std::string* response) {
   using rpc::DispatchTyped;

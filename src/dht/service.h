@@ -12,8 +12,6 @@ namespace blobseer::dht {
 
 class DhtService : public rpc::ServiceHandler {
  public:
-  explicit DhtService(size_t shards = 16);
-
   Status Handle(rpc::Method method, Slice payload,
                 std::string* response) override;
 

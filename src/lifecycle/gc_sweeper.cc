@@ -171,26 +171,24 @@ Status GcSweeper::RunOnePass(uint64_t now_us) {
       stats_.errors++;
       return versions.status();
     }
-    if (options_.apply_retention) {
-      Result<RetentionPolicy> policy = vm_.GetRetention(id);
-      if (policy.ok() && policy->enabled()) {
-        std::vector<VersionFacts> facts;
-        facts.reserve(versions->size());
-        for (const vmanager::VersionInfo& vi : *versions) {
-          facts.push_back({vi.version, vi.assigned_at_us, vi.published,
-                           vi.discarded, vi.pinned});
-        }
-        for (Version v : ExpiredVersions(*policy, facts, now_us)) {
-          Status s = vm_.DiscardVersion(id, v);
-          if (s.ok()) {
-            for (vmanager::VersionInfo& vi : *versions) {
-              if (vi.version == v) vi.discarded = true;
-            }
-            std::lock_guard<std::mutex> lock(mu_);
-            stats_.versions_discarded++;
+    Result<RetentionPolicy> policy = vm_.GetRetention(id);
+    if (policy.ok() && policy->enabled()) {
+      std::vector<VersionFacts> facts;
+      facts.reserve(versions->size());
+      for (const vmanager::VersionInfo& vi : *versions) {
+        facts.push_back({vi.version, vi.assigned_at_us, vi.published,
+                         vi.discarded, vi.pinned});
+      }
+      for (Version v : ExpiredVersions(*policy, facts, now_us)) {
+        Status s = vm_.DiscardVersion(id, v);
+        if (s.ok()) {
+          for (vmanager::VersionInfo& vi : *versions) {
+            if (vi.version == v) vi.discarded = true;
           }
-          // FailedPrecondition (pinned since we listed) or NotFound: skip.
+          std::lock_guard<std::mutex> lock(mu_);
+          stats_.versions_discarded++;
         }
+        // FailedPrecondition (pinned since we listed) or NotFound: skip.
       }
     }
     BlobScan scan{std::move(open->descriptor),

@@ -61,9 +61,6 @@ struct GcOptions {
   /// create. A truncated pass keeps the version roots so the remainder is
   /// re-enumerated next pass.
   size_t max_sweep_per_pass = 256;
-  /// Evaluate retention policies into DiscardVersion calls. Off, the
-  /// sweeper only collects versions discarded explicitly.
-  bool apply_retention = true;
 };
 
 struct GcStats {

@@ -28,12 +28,6 @@ Status LocationEntry::DecodeFrom(BinaryReader* r) {
     return Status::Corruption("location replica count exceeds payload");
   providers.resize(n);
   for (auto& p : providers) BS_RETURN_NOT_OK(r->GetU32(&p));
-  // Gated trailing decode: entries written before the lifecycle subsystem
-  // end here and imply one reference and no content hash.
-  refs = 1;
-  hash_hi = 0;
-  hash_lo = 0;
-  if (r->remaining() == 0) return Status::OK();
   BS_RETURN_NOT_OK(r->GetU32(&refs));
   BS_RETURN_NOT_OK(r->GetU64(&hash_hi));
   return r->GetU64(&hash_lo);

@@ -116,8 +116,7 @@ struct DirectoryResponse {
   Status DecodeFrom(BinaryReader* r) { return GetVector(r, &entries); }
 };
 
-/// One page's location as known to the reporter (a client that just stored
-/// it, or a reader that seeded a pre-v3 page).
+/// One page's location as known to the client that just stored it.
 struct PageLocationInfo {
   PageId pid;
   uint64_t epoch = 0;

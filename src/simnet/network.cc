@@ -8,31 +8,17 @@ namespace blobseer::simnet {
 
 SimNetwork::SimNetwork(SimScheduler* sched, size_t num_nodes,
                        SimNetworkOptions options)
-    : sched_(sched), options_(options), nodes_(num_nodes) {
-  for (Node& n : nodes_) {
-    n.up_cap = options_.nic_bytes_per_sec;
-    n.down_cap = options_.nic_bytes_per_sec;
-  }
-}
+    : sched_(sched), options_(options), nodes_(num_nodes) {}
 
 SimNetwork::~SimNetwork() = default;
-
-void SimNetwork::SetNodeCapacity(uint32_t node, double bytes_per_sec) {
-  BS_CHECK(node < nodes_.size()) << "bad node id";
-  nodes_[node].up_cap = bytes_per_sec;
-  nodes_[node].down_cap = bytes_per_sec;
-}
-
-void SimNetwork::SetNodeExtraLatency(uint32_t node, double us) {
-  BS_CHECK(node < nodes_.size()) << "bad node id";
-  nodes_[node].extra_latency_us = us;
-}
 
 double SimNetwork::EndpointRate(const Flow& f) const {
   const Node& s = nodes_[f.src];
   const Node& d = nodes_[f.dst];
-  double up = s.up_cap / static_cast<double>(s.out_flows.size());
-  double down = d.down_cap / static_cast<double>(d.in_flows.size());
+  double up = options_.nic_bytes_per_sec /
+              static_cast<double>(s.out_flows.size());
+  double down = options_.nic_bytes_per_sec /
+                static_cast<double>(d.in_flows.size());
   return std::min(up, down);
 }
 
@@ -75,10 +61,7 @@ void SimNetwork::RecomputeMaxMin() {
     std::vector<Flow*> unfixed;
   };
   std::vector<LinkState> links(nodes_.size() * 2);  // [2n]=up, [2n+1]=down
-  for (size_t n = 0; n < nodes_.size(); n++) {
-    links[2 * n].cap = nodes_[n].up_cap;
-    links[2 * n + 1].cap = nodes_[n].down_cap;
-  }
+  for (LinkState& l : links) l.cap = options_.nic_bytes_per_sec;
   for (Flow* f : flows_) {
     links[2 * f->src].unfixed.push_back(f);
     links[2 * f->dst + 1].unfixed.push_back(f);
@@ -133,16 +116,8 @@ void SimNetwork::RecomputeMaxMin() {
 
 void SimNetwork::Transfer(uint32_t src, uint32_t dst, uint64_t bytes) {
   BS_CHECK(src < nodes_.size() && dst < nodes_.size()) << "bad node id";
-  const double latency = options_.latency_us + nodes_[src].extra_latency_us +
-                         nodes_[dst].extra_latency_us;
-  if (latency > 0) sched_->SleepFor(latency);
-  if (bytes == 0) return;
-  nodes_[src].bytes_sent += static_cast<double>(bytes);
-  nodes_[dst].bytes_received += static_cast<double>(bytes);
-  if (src == dst && options_.loopback_bypass) {
-    completed_++;
-    return;
-  }
+  if (options_.latency_us > 0) sched_->SleepFor(options_.latency_us);
+  if (bytes == 0 || (src == dst && options_.loopback_bypass)) return;
 
   Flow flow;
   flow.src = src;
@@ -174,15 +149,6 @@ void SimNetwork::Transfer(uint32_t src, uint32_t dst, uint64_t bytes) {
   } else {
     RecomputeEndpoint(src, dst);
   }
-  completed_++;
-}
-
-double SimNetwork::busiest_node_utilization_bytes() const {
-  double best = 0;
-  for (const Node& n : nodes_) {
-    best = std::max(best, std::max(n.bytes_sent, n.bytes_received));
-  }
-  return best;
 }
 
 }  // namespace blobseer::simnet

@@ -42,22 +42,13 @@ class SimNetwork {
   /// the calling sim task for latency + serialization under fair sharing.
   void Transfer(uint32_t src, uint32_t dst, uint64_t bytes);
 
-  /// Overrides one node's NIC capacity (both directions).
-  void SetNodeCapacity(uint32_t node, double bytes_per_sec);
-
   /// Rescales the base one-way latency at runtime — campaign scripts
   /// degrade or restore the whole fabric mid-run (WAN episodes, congested
   /// periods). Applies to transfers started after the call.
   void set_latency_us(double us) { options_.latency_us = us; }
   double latency_us() const { return options_.latency_us; }
 
-  /// Extra one-way latency charged to every transfer touching `node`, on
-  /// top of the base — scripts a slow link or far region per node.
-  void SetNodeExtraLatency(uint32_t node, double us);
-
   size_t num_nodes() const { return nodes_.size(); }
-  uint64_t completed_transfers() const { return completed_; }
-  double busiest_node_utilization_bytes() const;
 
  private:
   struct Flow {
@@ -68,13 +59,8 @@ class SimNetwork {
     std::unique_ptr<SimCondition> rate_changed;
   };
   struct Node {
-    double up_cap = 0;
-    double down_cap = 0;
-    double extra_latency_us = 0;
     std::vector<Flow*> out_flows;
     std::vector<Flow*> in_flows;
-    double bytes_sent = 0;
-    double bytes_received = 0;
   };
 
   void AttachFlow(Flow* f);
@@ -89,7 +75,6 @@ class SimNetwork {
   SimNetworkOptions options_;
   std::vector<Node> nodes_;
   std::list<Flow*> flows_;
-  uint64_t completed_ = 0;
 };
 
 }  // namespace blobseer::simnet

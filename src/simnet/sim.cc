@@ -1,49 +1,64 @@
 #include "simnet/sim.h"
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
 #include <algorithm>
-#include <queue>
+#include <cerrno>
+#include <cstring>
+
+#ifdef __SANITIZE_ADDRESS__
+#include <sanitizer/common_interface_defs.h>
+#endif
+#ifdef __SANITIZE_THREAD__
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace blobseer::simnet {
 
+struct SimScheduler::Task {
+  TaskId id = 0;
+  enum class State { kReady, kRunning, kSleeping, kCondWait };
+  State state = State::kReady;
+  double wake_time = kNever;
+  uint64_t wake_seq = 0;  ///< invalidates stale wake-heap entries
+  bool notified = false;
+  SimCondition* cond = nullptr;
+  uint32_t node = 0;
+  std::vector<TaskId> join_waiters;
+  std::function<void()> fn;  ///< body; moved out when the task starts
+  ucontext_t ctx;
+  char* stack = nullptr;  ///< mapping (guard page first); null for the root
+  void* asan_fake_stack = nullptr;
+  void* tsan_fiber = nullptr;
+};
+
 namespace {
-thread_local SimScheduler::TaskId tls_task_id = 0;
-thread_local bool tls_has_task = false;
+
+size_t PageBytes() {
+  static const size_t page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  return page;
+}
+
 }  // namespace
 
+SimScheduler::SimScheduler() = default;
+
 SimScheduler::~SimScheduler() {
-  for (auto& [id, task] : tasks_) {
-    if (task->thread.joinable()) task->thread.join();
-  }
+  for (char* stack : free_stacks_) munmap(stack, PageBytes() + kTaskStackBytes);
 }
 
-SimScheduler::Task* SimScheduler::CurrentLocked() const {
-  BS_CHECK(tls_has_task) << "not on a sim task";
-  auto it = tasks_.find(tls_task_id);
-  BS_CHECK(it != tasks_.end()) << "unknown sim task";
-  return it->second.get();
+SimScheduler::Task* SimScheduler::Current() const {
+  BS_CHECK(current_ != nullptr) << "not on a sim task";
+  return current_;
 }
 
-double SimScheduler::Now() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return now_;
-}
+uint32_t SimScheduler::CurrentNode() const { return Current()->node; }
 
-uint32_t SimScheduler::CurrentNode() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return CurrentLocked()->node;
-}
+void SimScheduler::SetCurrentNode(uint32_t node) { Current()->node = node; }
 
-void SimScheduler::SetCurrentNode(uint32_t node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  CurrentLocked()->node = node;
-}
-
-size_t SimScheduler::tasks_alive() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return alive_;
-}
-
-void SimScheduler::MakeReadyLocked(Task* t) {
+void SimScheduler::MakeReady(Task* t) {
   t->state = Task::State::kReady;
   t->wake_time = kNever;
   t->wake_seq++;  // invalidates any heap entry for this task
@@ -51,12 +66,12 @@ void SimScheduler::MakeReadyLocked(Task* t) {
   ready_.push_back(t->id);
 }
 
-void SimScheduler::PushWakeLocked(Task* t) {
+void SimScheduler::PushWake(Task* t) {
   t->wake_seq++;
   wake_heap_.push(HeapEntry{t->wake_time, t->wake_seq, t->id});
 }
 
-SimScheduler::Task* SimScheduler::PickNextLocked() {
+SimScheduler::Task* SimScheduler::PickNext() {
   if (!ready_.empty()) {
     TaskId id = ready_.front();
     ready_.pop_front();
@@ -80,170 +95,180 @@ SimScheduler::Task* SimScheduler::PickNextLocked() {
       auto& ws = best->cond->waiters_;
       ws.erase(std::remove(ws.begin(), ws.end(), best->id), ws.end());
     }
-    best->state = Task::State::kReady;
     best->wake_seq++;
     best->cond = nullptr;
     return best;
   }
+  BS_CHECK(false) << "virtual-time deadlock: " << tasks_.size()
+                  << " tasks blocked with no wake source";
   return nullptr;
 }
 
-void SimScheduler::SwitchOutLocked(std::unique_lock<std::mutex>& lock,
-                                   Task* me, bool rejoinable) {
-  Task* next = PickNextLocked();
-  if (next) {
-    running_ = next->id;
-    next->state = Task::State::kRunning;
-    next->cv.notify_one();
-  } else {
-    // No runnable task. Legal only when the simulation is quiescing —
-    // every other live task would otherwise wait forever.
-    size_t blocked_others = alive_;
-    if (me->state != Task::State::kDone) blocked_others--;
-    BS_CHECK(blocked_others == 0)
-        << "virtual-time deadlock: " << blocked_others
-        << " tasks blocked with no wake source";
-    running_ = 0;
+void SimScheduler::SwitchOut(Task* me, [[maybe_unused]] bool exiting) {
+  Task* next = PickNext();
+  next->state = Task::State::kRunning;
+  if (next == me) return;  // a yield or sleep with nothing else to run
+  current_ = next;
+#ifdef __SANITIZE_ADDRESS__
+  // A null save slot tells ASan that `me` dies (its fake stack is freed).
+  __sanitizer_start_switch_fiber(
+      exiting ? nullptr : &me->asan_fake_stack,
+      next->stack ? next->stack + PageBytes() : root_stack_lo_,
+      next->stack ? kTaskStackBytes : root_stack_size_);
+#endif
+#ifdef __SANITIZE_THREAD__
+  __tsan_switch_to_fiber(next->tsan_fiber, 0);
+#endif
+  swapcontext(&me->ctx, &next->ctx);
+  Landed(me);
+}
+
+void SimScheduler::Landed([[maybe_unused]] Task* me) {
+#ifdef __SANITIZE_ADDRESS__
+  const void* from_lo = nullptr;
+  size_t from_size = 0;
+  __sanitizer_finish_switch_fiber(me->asan_fake_stack, &from_lo, &from_size);
+  // The first switch of a run leaves the root (then the only task): that
+  // is where the Run caller's stack bounds come from.
+  if (root_stack_lo_ == nullptr) {
+    root_stack_lo_ = from_lo;
+    root_stack_size_ = from_size;
   }
-  if (!rejoinable) return;  // exiting task: do not wait to be rescheduled
-  me->cv.wait(lock, [me] { return me->state == Task::State::kRunning; });
+#endif
+  if (!exited_) return;
+#ifdef __SANITIZE_THREAD__
+  __tsan_destroy_fiber(exited_->tsan_fiber);
+#endif
+  free_stacks_.push_back(exited_->stack);
+  exited_.reset();
+}
+
+void SimScheduler::TaskMain(uint32_t self_hi, uint32_t self_lo) noexcept {
+  auto* self = reinterpret_cast<SimScheduler*>(
+      (static_cast<uintptr_t>(self_hi) << 32) | self_lo);
+  Task* me = self->current_;
+  self->Landed(me);
+  me->fn();
+  me->fn = nullptr;  // captures die while the task can still be scheduled
+  for (TaskId w : me->join_waiters) {
+    auto it = self->tasks_.find(w);
+    if (it != self->tasks_.end() &&
+        it->second->state == Task::State::kCondWait &&
+        it->second->cond == nullptr) {
+      it->second->notified = true;
+      self->MakeReady(it->second.get());
+    }
+  }
+  // The record leaves the table now (Join treats a missing id as
+  // finished); its stack stays in use until the switch lands elsewhere.
+  self->exited_ = std::move(self->tasks_.extract(me->id).mapped());
+  self->SwitchOut(me, /*exiting=*/true);
+  BS_CHECK(false) << "exited sim task resumed";
+}
+
+char* SimScheduler::AllocStack() {
+  if (!free_stacks_.empty()) {
+    char* stack = free_stacks_.back();
+    free_stacks_.pop_back();
+    return stack;
+  }
+  void* mem = mmap(nullptr, PageBytes() + kTaskStackBytes,
+                   PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK,
+                   -1, 0);
+  BS_CHECK(mem != MAP_FAILED)
+      << "sim task stack mmap: " << std::strerror(errno);
+  // Guard page below the stack (it grows down): an overflow faults
+  // instead of corrupting a neighbour.
+  BS_CHECK(mprotect(mem, PageBytes(), PROT_NONE) == 0)
+      << "sim task guard page: " << std::strerror(errno);
+  return static_cast<char*>(mem);
 }
 
 void SimScheduler::SleepFor(double us) {
-  std::unique_lock<std::mutex> lock(mu_);
-  Task* me = CurrentLocked();
+  Task* me = Current();
   if (us <= 0) {
     // Yield: go to the back of the ready queue.
-    MakeReadyLocked(me);
+    MakeReady(me);
   } else {
     me->state = Task::State::kSleeping;
     me->wake_time = now_ + us;
-    PushWakeLocked(me);
+    PushWake(me);
   }
-  SwitchOutLocked(lock, me, /*rejoinable=*/true);
+  SwitchOut(me);
 }
 
 SimScheduler::TaskId SimScheduler::Spawn(std::function<void()> fn) {
-  std::unique_lock<std::mutex> lock(mu_);
-  Task* parent = CurrentLocked();
-  TaskId id = ++next_id_;
+  Task* parent = Current();
   auto task = std::make_unique<Task>();
   Task* t = task.get();
-  t->id = id;
+  t->id = ++next_id_;
   t->node = parent->node;
-  alive_++;
-  tasks_.emplace(id, std::move(task));
-  ready_.push_back(id);
-
-  t->thread = std::thread([this, t, fn = std::move(fn)] {
-    tls_task_id = t->id;
-    tls_has_task = true;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      t->cv.wait(lk, [t] { return t->state == Task::State::kRunning; });
-    }
-    fn();
-    std::unique_lock<std::mutex> lk(mu_);
-    t->state = Task::State::kDone;
-    alive_--;
-    for (TaskId w : t->join_waiters) {
-      auto it = tasks_.find(w);
-      if (it != tasks_.end() &&
-          it->second->state == Task::State::kCondWait &&
-          it->second->cond == nullptr) {
-        it->second->notified = true;
-        MakeReadyLocked(it->second.get());
-      }
-    }
-    t->join_waiters.clear();
-    SwitchOutLocked(lk, t, /*rejoinable=*/false);
-  });
-  return id;
+  t->fn = std::move(fn);
+  t->stack = AllocStack();
+  BS_CHECK(getcontext(&t->ctx) == 0)
+      << "getcontext: " << std::strerror(errno);
+  t->ctx.uc_stack.ss_sp = t->stack + PageBytes();
+  t->ctx.uc_stack.ss_size = kTaskStackBytes;
+  t->ctx.uc_link = nullptr;
+  // makecontext passes int-sized arguments: split the scheduler pointer.
+  auto self = reinterpret_cast<uintptr_t>(this);
+  makecontext(&t->ctx, reinterpret_cast<void (*)()>(&TaskMain), 2,
+              static_cast<uint32_t>(self >> 32), static_cast<uint32_t>(self));
+#ifdef __SANITIZE_THREAD__
+  t->tsan_fiber = __tsan_create_fiber(0);
+#endif
+  tasks_.emplace(t->id, std::move(task));
+  ready_.push_back(t->id);
+  return t->id;
 }
 
 void SimScheduler::Join(TaskId id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  Task* me = CurrentLocked();
-  for (;;) {
-    auto it = tasks_.find(id);
-    if (it == tasks_.end()) return;  // already joined and reaped
-    Task* target = it->second.get();
-    if (target->state == Task::State::kDone) break;
-    target->join_waiters.push_back(me->id);
+  Task* me = Current();
+  while (tasks_.count(id)) {
+    tasks_.at(id)->join_waiters.push_back(me->id);
     me->state = Task::State::kCondWait;
     me->wake_time = kNever;
     me->cond = nullptr;
     me->notified = false;
-    SwitchOutLocked(lock, me, /*rejoinable=*/true);
+    SwitchOut(me);
   }
-  // Reap: join the OS thread (outside the lock — the exiting thread only
-  // touches scheduler state before leaving its lambda) and drop the record
-  // so the scheduler's structures stay O(live tasks).
-  auto it = tasks_.find(id);
-  if (it == tasks_.end()) return;
-  std::thread reaped = std::move(it->second->thread);
-  lock.unlock();
-  if (reaped.joinable()) reaped.join();
-  lock.lock();
-  tasks_.erase(id);
 }
 
 void SimScheduler::Run(std::function<void()> root) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    BS_CHECK(tasks_.empty()) << "SimScheduler::Run is single-shot";
-    TaskId id = ++next_id_;
-    auto task = std::make_unique<Task>();
-    task->id = id;
-    task->state = Task::State::kRunning;
-    running_ = id;
-    alive_++;
-    tls_task_id = id;
-    tls_has_task = true;
-    tasks_.emplace(id, std::move(task));
-  }
+  BS_CHECK(tasks_.empty()) << "SimScheduler::Run is not reentrant";
+  auto task = std::make_unique<Task>();
+  Task* me = task.get();
+  me->id = ++next_id_;
+  me->state = Task::State::kRunning;
+#ifdef __SANITIZE_THREAD__
+  me->tsan_fiber = __tsan_get_current_fiber();
+#endif
+  tasks_.emplace(me->id, std::move(task));
+  current_ = me;
+  root_stack_lo_ = nullptr;
   root();
-  // Drain: wait for every spawned task to finish.
-  for (;;) {
-    TaskId pending = 0;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (auto& [id, task] : tasks_) {
-        if (id != tls_task_id) {
-          pending = id;
-          break;
-        }
-      }
-    }
-    if (pending == 0) break;
-    Join(pending);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  Task* me = CurrentLocked();
-  me->state = Task::State::kDone;
-  alive_--;
-  running_ = 0;
-  tasks_.erase(me->id);
-  tls_has_task = false;
+  // Drain: wait for every spawned task to finish, lowest id first.
+  while (tasks_.size() > 1) Join(std::next(tasks_.begin())->first);
+  current_ = nullptr;
+  tasks_.clear();
 }
 
 bool SimCondition::WaitUntil(double deadline_us) {
-  std::unique_lock<std::mutex> lock(sched_->mu_);
-  SimScheduler::Task* me = sched_->CurrentLocked();
+  SimScheduler::Task* me = sched_->Current();
   me->state = SimScheduler::Task::State::kCondWait;
   me->wake_time = deadline_us;
   me->cond = this;
   me->notified = false;
   waiters_.push_back(me->id);
-  if (deadline_us != SimScheduler::kNever) sched_->PushWakeLocked(me);
-  sched_->SwitchOutLocked(lock, me, /*rejoinable=*/true);
+  if (deadline_us != SimScheduler::kNever) sched_->PushWake(me);
+  sched_->SwitchOut(me);
   bool notified = me->notified;
   me->notified = false;
   return notified;
 }
 
 void SimCondition::NotifyAll() {
-  std::lock_guard<std::mutex> lock(sched_->mu_);
   for (SimScheduler::TaskId id : waiters_) {
     auto it = sched_->tasks_.find(id);
     if (it == sched_->tasks_.end()) continue;
@@ -251,7 +276,7 @@ void SimCondition::NotifyAll() {
     if (t->state != SimScheduler::Task::State::kCondWait || t->cond != this)
       continue;
     t->notified = true;
-    sched_->MakeReadyLocked(t);
+    sched_->MakeReady(t);
   }
   waiters_.clear();
 }

@@ -1,30 +1,31 @@
 // Virtual-time cooperative scheduler.
 //
-// Each simulated process is a real OS thread, but exactly one runs at any
-// instant: every blocking interaction goes through the scheduler, which
-// advances a virtual clock to the next event when all tasks are blocked.
-// This lets the *real* BlobSeer client and service code run unmodified on a
-// simulated 175-node network (DESIGN.md S11), deterministically and without
-// wall-clock sleeps.
+// Each simulated process is a stackful fiber (glibc makecontext/swapcontext)
+// on the thread that calls Run, and exactly one runs at any instant: every
+// blocking interaction goes through the scheduler, which switches to the
+// next ready task and advances a virtual clock to the next event when all
+// tasks are blocked. This lets the *real* BlobSeer client and service code
+// run unmodified on a simulated 175-node network (DESIGN.md S11),
+// deterministically and without wall-clock sleeps.
 //
 // Rules for code running on sim tasks:
 //  * never block on bare std::mutex/condvars across sim calls — plain
-//    critical sections are fine (tasks are serialized), blocking is not;
+//    critical sections are fine (tasks are serialized), blocking is not:
+//    every task shares one OS thread;
 //  * all sleeping/waiting must go through SimScheduler primitives (via
-//    SimClock / SimCondition / SimNetwork).
+//    SimClock / SimCondition / SimNetwork);
+//  * keep stack use within kTaskStackBytes (a guard page below each stack
+//    turns an overflow into a fault).
 #ifndef BLOBSEER_SIMNET_SIM_H_
 #define BLOBSEER_SIMNET_SIM_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <limits>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "common/clock.h"
@@ -39,26 +40,29 @@ class SimScheduler {
  public:
   using TaskId = uint64_t;
   static constexpr double kNever = std::numeric_limits<double>::infinity();
+  /// Stack of every spawned task (the root runs on the caller's stack).
+  /// The deepest task of the sim suites and benches uses about 40 KiB in a
+  /// Debug + ASan build (13 KiB in Release); only touched pages cost RSS.
+  static constexpr size_t kTaskStackBytes = 256 * 1024;
 
-  SimScheduler() = default;
+  SimScheduler();
   ~SimScheduler();
 
   SimScheduler(const SimScheduler&) = delete;
   SimScheduler& operator=(const SimScheduler&) = delete;
 
-  /// Runs `root` as task 0 on the calling thread; returns once every task
-  /// has finished.
+  /// Runs `root` as the first task on the calling thread, with every task
+  /// it spawns; returns once every task has finished.
   void Run(std::function<void()> root);
 
   /// Virtual time in microseconds.
-  double Now() const;
+  double Now() const { return now_; }
 
   /// Suspends the calling task for `us` virtual microseconds.
   void SleepFor(double us);
 
   /// Spawns a task; it inherits the caller's node id. Must be called from a
-  /// running sim task (or before Run for the initial set — not supported;
-  /// spawn from root).
+  /// running sim task (spawn the initial set from root).
   TaskId Spawn(std::function<void()> fn);
 
   /// Blocks the calling task until `id` finishes.
@@ -69,24 +73,10 @@ class SimScheduler {
   uint32_t CurrentNode() const;
   void SetCurrentNode(uint32_t node);
 
-  size_t tasks_alive() const;
-
  private:
   friend class SimCondition;
 
-  struct Task {
-    TaskId id = 0;
-    enum class State { kReady, kRunning, kSleeping, kCondWait, kDone };
-    State state = State::kReady;
-    double wake_time = kNever;
-    uint64_t wake_seq = 0;  ///< invalidates stale wake-heap entries
-    bool notified = false;
-    SimCondition* cond = nullptr;
-    uint32_t node = 0;
-    std::condition_variable cv;
-    std::thread thread;  // empty for the root task
-    std::vector<TaskId> join_waiters;
-  };
+  struct Task;
 
   /// Lazy min-heap entry over (wake_time); entries whose (task, seq) no
   /// longer match are skipped at pop time. Keeps scheduling O(log n) in
@@ -98,25 +88,38 @@ class SimScheduler {
     bool operator>(const HeapEntry& o) const { return time > o.time; }
   };
 
-  Task* CurrentLocked() const;
-  /// Marks the current task non-running, picks and wakes the next runnable
-  /// task, then blocks until this task is running again (no-op for exit).
-  void SwitchOutLocked(std::unique_lock<std::mutex>& lock, Task* me,
-                       bool rejoinable);
-  Task* PickNextLocked();
-  void MakeReadyLocked(Task* t);
-  void PushWakeLocked(Task* t);
+  /// Entry point of every spawned task's fiber (an escaping exception
+  /// terminates the program).
+  static void TaskMain(uint32_t self_hi, uint32_t self_lo) noexcept;
 
-  mutable std::mutex mu_;
+  Task* Current() const;
+  /// Switches from `me`, whose state the caller has already set, to the
+  /// next runnable task; returns once `me` runs again (never if `exiting`).
+  void SwitchOut(Task* me, bool exiting = false);
+  /// Runs first on every task that gains the CPU: completes the sanitizer
+  /// switch and frees the task that exited to get here.
+  void Landed(Task* me);
+  Task* PickNext();
+  void MakeReady(Task* t);
+  void PushWake(Task* t);
+  char* AllocStack();
+
   double now_ = 0;
   std::map<TaskId, std::unique_ptr<Task>> tasks_;
   std::deque<TaskId> ready_;
   std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                       std::greater<HeapEntry>>
       wake_heap_;
-  TaskId running_ = 0;
+  Task* current_ = nullptr;
+  /// A task that exited and whose stack was still in use at the switch;
+  /// freed by Landed on the task that switch resumed.
+  std::unique_ptr<Task> exited_;
+  std::vector<char*> free_stacks_;  ///< recycled stack mappings
   TaskId next_id_ = 0;
-  size_t alive_ = 0;
+  /// Bounds of the Run caller's own stack, learned at its first switch
+  /// (ASan needs them to switch back).
+  const void* root_stack_lo_ = nullptr;
+  size_t root_stack_size_ = 0;
 };
 
 /// Condition variable in virtual time. Waiters are woken by NotifyAll (or

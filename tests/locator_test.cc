@@ -62,6 +62,19 @@ TEST(LocationEntrySerdeTest, TruncatedAndOversizedRejected) {
   }
 }
 
+TEST(LocationEntrySerdeTest, EntryEndingAfterReplicaListIsCorruption) {
+  // Forged entry without the refs and content-hash fields: epoch 1,
+  // replicas {0, 1}, then nothing.
+  BinaryWriter forged;
+  forged.PutU64(1);
+  forged.PutU32(2);
+  forged.PutU32(0);
+  forged.PutU32(1);
+  LocationEntry decoded;
+  BinaryReader r{Slice(forged.buffer())};
+  EXPECT_TRUE(decoded.DecodeFrom(&r).IsCorruption());
+}
+
 TEST(LocationEntrySerdeTest, ValidRequiresEpochAndProviders) {
   EXPECT_FALSE((LocationEntry{0, {1}}).valid());
   EXPECT_FALSE((LocationEntry{1, {}}).valid());

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
 #include "core/sim_cluster.h"
@@ -51,10 +52,19 @@ TEST(SimSchedulerTest, TasksInterleaveDeterministically) {
 }
 
 TEST(SimSchedulerTest, RepeatedRunsAreIdentical) {
+  // Sleepers, a condition with deadline and notified waiters, a contended
+  // semaphore and overlapping network flows: every event lands in the
+  // trace with its virtual time, and two runs must agree exactly.
   auto run_once = [] {
     SimScheduler sched;
     std::vector<std::pair<int, double>> trace;
     sched.Run([&] {
+      SimNetworkOptions opts;
+      opts.nic_bytes_per_sec = 100e6;
+      opts.latency_us = 50;
+      SimNetwork net(&sched, 4, opts);
+      SimCondition cond(&sched);
+      SimSemaphore sem(&sched, 2);
       std::vector<SimScheduler::TaskId> ids;
       for (int i = 0; i < 5; i++) {
         ids.push_back(sched.Spawn([&, i] {
@@ -62,13 +72,72 @@ TEST(SimSchedulerTest, RepeatedRunsAreIdentical) {
           trace.push_back({i, sched.Now()});
           sched.SleepFor(7);
           trace.push_back({i + 100, sched.Now()});
+          // Odd tasks time out before the notify at t=60, even ones wait.
+          bool notified =
+              cond.WaitUntil(i % 2 ? sched.Now() + 3 : SimScheduler::kNever);
+          trace.push_back({i + (notified ? 200 : 300), sched.Now()});
+          sem.Acquire();
+          net.Transfer(static_cast<uint32_t>(i % 4),
+                       static_cast<uint32_t>((i + 1) % 4), 100'000 * (i + 1));
+          trace.push_back({i + 400, sched.Now()});
+          sem.Release();
         }));
       }
+      sched.SleepFor(60);
+      cond.NotifyAll();
       for (auto id : ids) sched.Join(id);
     });
     return trace;
   };
-  EXPECT_EQ(run_once(), run_once());
+  std::vector<std::pair<int, double>> first = run_once();
+  ASSERT_EQ(first.size(), 20u);
+  EXPECT_EQ(first, run_once());
+}
+
+TEST(SimSchedulerTest, TasksRunOnTheCallersThread) {
+  SimScheduler sched;
+  std::vector<std::thread::id> seen;
+  sched.Run([&] {
+    seen.push_back(std::this_thread::get_id());
+    std::vector<SimScheduler::TaskId> ids;
+    for (int i = 0; i < 7; i++) {
+      ids.push_back(sched.Spawn([&] {
+        seen.push_back(std::this_thread::get_id());
+        sched.SleepFor(1);
+        seen.push_back(std::this_thread::get_id());
+      }));
+    }
+    for (auto id : ids) sched.Join(id);
+  });
+  ASSERT_EQ(seen.size(), 15u);
+  for (const std::thread::id& id : seen)
+    EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+TEST(SimSchedulerTest, TaskStackHoldsA64KiBFrame) {
+  // The stack budget: a task may keep 64 KiB of locals live across a
+  // switch, with room to spare for ASan's redzones (kTaskStackBytes).
+  static_assert(SimScheduler::kTaskStackBytes >= 4 * 64 * 1024);
+  SimScheduler sched;
+  uint64_t sum = 0;
+  sched.Run([&] {
+    auto big = sched.Spawn([&] {
+      volatile unsigned char buf[64 * 1024];
+      for (size_t i = 0; i < sizeof(buf); i++)
+        buf[i] = static_cast<unsigned char>(i * 31);
+      sched.SleepFor(1);  // the other task runs on its own stack meanwhile
+      uint64_t s = 0;
+      for (size_t i = 0; i < sizeof(buf); i++) s += buf[i];
+      sum = s;
+    });
+    auto other = sched.Spawn([&] { sched.SleepFor(0); });
+    sched.Join(big);
+    sched.Join(other);
+  });
+  uint64_t expected = 0;
+  for (size_t i = 0; i < 64 * 1024; i++)
+    expected += static_cast<unsigned char>(i * 31);
+  EXPECT_EQ(sum, expected);
 }
 
 TEST(SimSchedulerTest, ConditionNotifyWakesWaiters) {
